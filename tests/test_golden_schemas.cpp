@@ -161,6 +161,50 @@ sim::SweepPoint golden_dcp_sweep_point() {
   return rows.empty() ? sim::SweepPoint{} : rows.front();
 }
 
+/// Fixed-seed chaos run against the 2-D grid runtime: 4x4 pairs with a
+/// silent error caught by verification (rollback ladder), a corrupt local
+/// copy skipped by failover, and a node loss. Pins the grid's final hash,
+/// replicated bytes and COW copies, so a refactor of the runtime cannot
+/// drift along with its own reference run.
+chaos::ChaosRunResult golden_grid_chaos_run() {
+  chaos::ChaosCampaignConfig config;
+  runtime::GridConfig grid;
+  grid.grid_rows = 4;
+  grid.grid_cols = 4;
+  grid.block_rows = 6;
+  grid.block_cols = 6;
+  grid.checkpoint_interval = 12;
+  grid.total_steps = 96;
+  grid.rereplication_delay_steps = 8;
+  grid.verify_every = 4;
+  grid.keep_last = 3;
+  config.grid = grid;
+  auto schedule = chaos::ChaosSchedule::parse("13:sdc:0,61:corrupt:2:2,62:0");
+  return chaos::run_one(config, std::move(schedule),
+                        chaos::reference_run(config).final_hash);
+}
+
+/// Fixed-seed grid chaos run with differential checkpointing engaged: 3x3
+/// triples, dcp K=3 and a torn delta layer that forces a chain failover.
+chaos::ChaosRunResult golden_grid_dcp_chaos_run() {
+  chaos::ChaosCampaignConfig config;
+  runtime::GridConfig grid;
+  grid.topology = ckpt::Topology::Triples;
+  grid.grid_rows = 3;
+  grid.grid_cols = 3;
+  grid.block_rows = 8;
+  grid.block_cols = 8;
+  grid.checkpoint_interval = 12;
+  grid.total_steps = 96;
+  grid.rereplication_delay_steps = 8;
+  grid.dcp_stack_size = 3;
+  grid.dcp_block_size = 128;
+  config.grid = grid;
+  auto schedule = chaos::ChaosSchedule::parse("25:torndelta:0:1,25:0");
+  return chaos::run_one(config, std::move(schedule),
+                        chaos::reference_run(config).final_hash);
+}
+
 // ---------------------------------------------------------- field guards
 
 TEST(GoldenSchema, ChaosRunFieldSets) {
@@ -257,6 +301,27 @@ TEST(GoldenSchema, DcpSweepPointRecordIsByteStable) {
   std::ostringstream out;
   sim::write_sweep_jsonl(out, {point});
   expect_matches_golden("sweep_point.dcp.jsonl", out.str());
+}
+
+TEST(GoldenSchema, GridChaosRunRecordIsByteStable) {
+  const auto run = golden_grid_chaos_run();
+  ASSERT_NE(run.outcome, chaos::ChaosOutcome::Violated) << run.detail;
+  // The fixture must exercise the machinery it guards.
+  ASSERT_GT(run.report.sdc_detected, 0u);
+  ASSERT_GT(run.report.failovers, 0u);
+  ASSERT_GT(run.report.failures, 0u);
+  expect_matches_golden("chaos_run.grid.jsonl",
+                        chaos::to_json(run).dump() + "\n");
+}
+
+TEST(GoldenSchema, GridDcpChaosRunRecordIsByteStable) {
+  const auto run = golden_grid_dcp_chaos_run();
+  ASSERT_NE(run.outcome, chaos::ChaosOutcome::Violated) << run.detail;
+  ASSERT_GT(run.report.delta_commits, 0u);
+  ASSERT_GT(run.report.chain_replays, 0u);
+  ASSERT_GT(run.report.torn_chain_failovers, 0u);
+  expect_matches_golden("chaos_run.grid.dcp.jsonl",
+                        chaos::to_json(run).dump() + "\n");
 }
 
 }  // namespace
