@@ -78,6 +78,12 @@ CAMPAIGNS=(
   "grid 4x4 pairs dcp, scripted + 40 random|--topology=pairs --grid=4x4 --block=6 --steps=64 --interval=8 --rerepl-delay=6 --dcp-stack=3 --runs=40 --seed=20260812"
   "grid 3x3 triples dcp, scripted + 40 random|--topology=triples --grid=3x3 --block=6 --steps=64 --interval=8 --rerepl-delay=6 --dcp-stack=3 --runs=40 --seed=20260812"
   "torn-chain failover repro|--topology=triples --nodes=9 --cells=48 --steps=96 --interval=12 --rerepl-delay=8 --dcp-stack=3 --schedule=25:torndelta:0:1,25:0"
+  # Semi-blocking staging on the grid (one protocol driver serves both
+  # runtimes): the scripted set adds the exchange-window families, and the
+  # repro line loses a node while the set snapshotted at step 24 is still
+  # in flight, so the run falls back to the set committed at step 12.
+  "grid 4x4 pairs staging, scripted + 40 random|--topology=pairs --grid=4x4 --block=6 --steps=96 --interval=12 --staging=4 --rerepl-delay=8 --runs=40 --seed=20260805"
+  "grid exchange-window repro|--topology=pairs --grid=4x4 --block=6 --steps=96 --interval=12 --staging=4 --rerepl-delay=8 --schedule=26:5"
 )
 
 status=0

@@ -292,6 +292,11 @@ std::string repro_command(const ChaosCampaignConfig& config,
            std::to_string(gc.block_cols);
     cmd += " --steps=" + std::to_string(gc.total_steps);
     cmd += " --interval=" + std::to_string(gc.checkpoint_interval);
+    // Only when set, so a blocking grid's repro line carries no staging
+    // knob.
+    if (gc.staging_steps > 0) {
+      cmd += " --staging=" + std::to_string(gc.staging_steps);
+    }
     cmd += " --rerepl-delay=" + std::to_string(gc.rereplication_delay_steps);
     cmd += " --retry-max=" + std::to_string(gc.transfer_retry.max_attempts);
     cmd += " --retry-base=" +

@@ -45,8 +45,7 @@ struct ChaosCampaignConfig {
   /// When set, the campaign targets the 2-D GridCoordinator instead of the
   /// 1-D chain: `runtime` is ignored, schedules come from
   /// scripted_grid_schedules(), and the oracle predicts through the grid's
-  /// protocol shape (immediate commit, same refill clock). The kernel must
-  /// be "heat" (the only 2-D kernel).
+  /// protocol fields. The kernel must be "heat" (the only 2-D kernel).
   std::optional<runtime::GridConfig> grid;
   std::string kernel = "heat";      ///< heat | wave | counter (grid: heat)
   std::uint64_t random_runs = 100;  ///< randomized schedules after scripted

@@ -9,23 +9,16 @@
 
 namespace dckpt::chaos {
 
-ShadowConfig::ShadowConfig(const runtime::RuntimeConfig& config)
-    : nodes(config.nodes), topology(config.topology),
-      checkpoint_interval(config.checkpoint_interval),
-      total_steps(config.total_steps), staging_steps(config.staging_steps),
-      rereplication_delay_steps(config.rereplication_delay_steps),
-      transfer_retry(config.transfer_retry),
-      verify_every(config.verify_every), keep_last(config.keep_last),
-      dcp_stack_size(config.dcp_stack_size) {}
-
-ShadowConfig::ShadowConfig(const runtime::GridConfig& config)
-    : nodes(config.nodes()), topology(config.topology),
-      checkpoint_interval(config.checkpoint_interval),
-      total_steps(config.total_steps), staging_steps(0),
-      rereplication_delay_steps(config.rereplication_delay_steps),
-      transfer_retry(config.transfer_retry),
-      verify_every(config.verify_every), keep_last(config.keep_last),
-      dcp_stack_size(config.dcp_stack_size) {}
+ShadowConfig::ShadowConfig(const runtime::ProtocolConfig& protocol,
+                           std::uint64_t node_count)
+    : nodes(node_count), topology(protocol.topology),
+      checkpoint_interval(protocol.checkpoint_interval),
+      total_steps(protocol.total_steps),
+      staging_steps(protocol.staging_steps),
+      rereplication_delay_steps(protocol.rereplication_delay_steps),
+      transfer_retry(protocol.transfer_retry),
+      verify_every(protocol.verify_every), keep_last(protocol.keep_last),
+      dcp_stack_size(protocol.dcp_stack_size) {}
 
 void ShadowConfig::validate() const {
   const auto gs =
@@ -300,7 +293,7 @@ ShadowPrediction predict_outcome(
     // checkpoint they trigger commits ahead of the loss it predicts. The
     // skip rule (nothing committed yet at step 0, or a commit already
     // landed at exactly this step) and the supersession of any in-flight
-    // staged exchange mirror Coordinator::proactive_checkpoint.
+    // staged exchange mirror ProtocolDriver::proactive_checkpoint.
     {
       std::uint64_t fired = 0;
       for (auto it = pending.begin(); it != pending.end();) {
@@ -479,7 +472,7 @@ ShadowPrediction predict_outcome(
     const bool boundary = step % config.checkpoint_interval == 0 &&
                           step < config.total_steps;
     if (config.verify_every > 0) {
-      // Mirror of RecoveryEngine::verify_checkpoints and the coordinators'
+      // Mirror of RecoveryEngine::verify_checkpoints and the driver's
       // cadence: every verify_every periods, after the period's commit and
       // before the next set stages, plus a final audit at step == total.
       if (boundary) ++periods_since_verify;
@@ -597,7 +590,7 @@ ShadowPrediction predict_outcome(
       }
     }
     if (boundary && !staging) {
-      // dcp cadence, same predicate as both coordinators: deltas between
+      // dcp cadence, same predicate as the driver: deltas between
       // full exchanges while the chain has room and the platform is whole
       // (no lost node, no pending refill -- only a full commit re-creates
       // every replica and closes the risk window).

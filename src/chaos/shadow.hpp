@@ -23,7 +23,7 @@
 // config so existing call sites keep reading naturally.
 //
 // This is deliberately an *independent reimplementation* of the control
-// flow in runtime/coordinator.cpp and runtime/grid.cpp (same
+// flow in runtime/protocol.cpp (same
 // step/commit/refill ordering, none of the data movement): the chaos
 // campaign runs both and any divergence -- outcome or counter -- is
 // classified `violated`, i.e. a bug in one of the two. Property tests
@@ -47,7 +47,7 @@ struct ShadowConfig {
   ckpt::Topology topology = ckpt::Topology::Pairs;
   std::uint64_t checkpoint_interval = 16;
   std::uint64_t total_steps = 128;
-  std::uint64_t staging_steps = 0;  ///< 0 = immediate commit (the grid)
+  std::uint64_t staging_steps = 0;  ///< 0 = immediate commit
   std::uint64_t rereplication_delay_steps = 0;
   ckpt::RetryPolicy transfer_retry;  ///< refill retry/backoff policy
   std::uint64_t verify_every = 0;    ///< verification cadence; 0 = off
@@ -55,8 +55,13 @@ struct ShadowConfig {
   std::uint64_t dcp_stack_size = 0;  ///< dcp commits per full exchange; 0 = off
 
   ShadowConfig() = default;
-  ShadowConfig(const runtime::RuntimeConfig& config);  // NOLINT: implicit
-  ShadowConfig(const runtime::GridConfig& config);     // NOLINT: implicit
+  /// The shared protocol fields of a runtime with `node_count` nodes.
+  ShadowConfig(const runtime::ProtocolConfig& protocol,
+               std::uint64_t node_count);
+  ShadowConfig(const runtime::RuntimeConfig& config)  // NOLINT: implicit
+      : ShadowConfig(config, config.nodes) {}
+  ShadowConfig(const runtime::GridConfig& config)  // NOLINT: implicit
+      : ShadowConfig(config, config.nodes()) {}
 
   void validate() const;  ///< throws std::invalid_argument
 };

@@ -1,36 +1,27 @@
 // 2-D domain-decomposed fault-tolerant runtime.
 //
-// The 1-D Coordinator demonstrates the full protocol feature set (staged
-// commits etc.); this module shows the buddy-checkpointing substrate
-// generalizes to the standard 2-D HPC decomposition: a grid of workers,
-// each owning a block of a global field, exchanging one halo row/column
-// with each of its four neighbours per step (Jacobi-style). Checkpointing,
-// failure injection, coordinated rollback-recovery and the re-replication
-// risk window work exactly as in the 1-D runtime, with one simplification:
-// the grid commits each checkpoint set immediately (no staged exchange).
+// The standard 2-D HPC decomposition over the same protocol driver as the
+// 1-D chain (runtime/protocol.hpp): a grid of nodes, each owning a block of
+// a global field, exchanging one halo row/column with each of its four
+// neighbours per step (Jacobi-style). Checkpointing, staging, failure
+// injection, coordinated rollback-recovery and the re-replication risk
+// window are the driver's, so they behave exactly as in the chain.
 //
-// Workers are numbered row-major; the buddy topology (pairs/triples over
+// Nodes are numbered row-major; the buddy topology (pairs/triples over
 // consecutive ids) is orthogonal to the grid geometry -- as in real
 // deployments, where buddy assignment follows racks, not the domain. The
-// chaos shadow oracle exploits exactly that: the same step/commit/refill
-// machine predicts this coordinator's accounting (recoveries,
-// rereplications, risk_steps) counter-for-counter.
+// chaos shadow oracle exploits exactly that: one step/commit/refill
+// machine predicts both topologies counter-for-counter.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
-#include "ckpt/buddy_store.hpp"
-#include "ckpt/page_store.hpp"
-#include "ckpt/ring.hpp"
-#include "runtime/coordinator.hpp"  // RunReport, FailureInjection
-#include "util/thread_pool.hpp"
+#include "runtime/protocol.hpp"
 
 namespace dckpt::runtime {
-
 /// Kernel over a 2-D block (row-major), with four pre-captured halo edges.
 class GridKernel {
  public:
@@ -71,37 +62,13 @@ class HeatKernel2D final : public GridKernel {
   double coefficient_;
 };
 
-struct GridConfig {
+struct GridConfig : ProtocolConfig {
   std::size_t grid_rows = 2;
   std::size_t grid_cols = 2;
-  ckpt::Topology topology = ckpt::Topology::Pairs;
   std::size_t block_rows = 32;
   std::size_t block_cols = 32;
-  std::uint64_t checkpoint_interval = 16;
-  std::uint64_t total_steps = 64;
-  std::size_t threads = 0;
-  /// Re-replication delay: executed steps between a rollback and the refill
-  /// of the replacement node's buddy storage. Same semantics as
-  /// RuntimeConfig::rereplication_delay_steps -- while the refill is
-  /// pending the victim's group cannot survive another member loss, and a
-  /// committed checkpoint closes the window. 0 = refill immediately.
-  std::uint64_t rereplication_delay_steps = 0;
-  /// Retry-with-backoff policy for re-replication transfers (same semantics
-  /// as RuntimeConfig::transfer_retry).
-  ckpt::RetryPolicy transfer_retry;
-  /// Silent-error verification cadence (same semantics as
-  /// RuntimeConfig::verify_every). 0 = off.
-  std::uint64_t verify_every = 0;
-  /// Keep-last-l checkpoint retention (same semantics as
-  /// RuntimeConfig::keep_last). Must be >= 1.
-  std::size_t keep_last = 1;
-  /// Differential-checkpoint stack size K (same semantics as
-  /// RuntimeConfig::dcp_stack_size). 0 = every commit is full. Requires
-  /// verify_every == 0 and keep_last == 1.
-  std::uint64_t dcp_stack_size = 0;
-  /// Differential block size in bytes (same semantics as
-  /// RuntimeConfig::dcp_block_size).
-  std::size_t dcp_block_size = ckpt::kDefaultDcpBlockSize;
+
+  GridConfig() { total_steps = 64; }
 
   std::uint64_t nodes() const noexcept {
     return static_cast<std::uint64_t>(grid_rows) * grid_cols;
@@ -109,50 +76,16 @@ struct GridConfig {
   void validate() const;
 };
 
-class GridCoordinator {
+/// The protocol driver over a grid of blocks; global_state() concatenates
+/// the blocks (row-major each) in row-major block order.
+class GridCoordinator : public ProtocolDriver {
  public:
   GridCoordinator(GridConfig config, std::unique_ptr<GridKernel> kernel);
-  ~GridCoordinator();  // out of line: Block is incomplete here
-
-  RunReport run(std::span<const FailureInjection> failures = {});
-
-  /// Concatenated blocks, row-major per block, block order row-major.
-  std::vector<double> global_state() const;
 
   const GridConfig& config() const noexcept { return config_; }
 
  private:
-  struct Block;
-
-  void checkpoint_all(RunReport& report);
-  void delta_checkpoint_all(RunReport& report);
-  void proactive_checkpoint(RunReport& report, std::uint64_t step);
-  void rollback_all(RunReport& report, std::uint64_t step);
-  void blank_restart(std::uint64_t node);
-  void execute_step();
-  std::vector<ckpt::BuddyStore*> store_directory();
-
   GridConfig config_;
-  std::unique_ptr<GridKernel> kernel_;
-  ckpt::GroupAssignment groups_;
-  std::vector<std::unique_ptr<Block>> blocks_;
-  util::ThreadPool pool_;
-  std::vector<std::uint64_t> committed_hashes_;
-  std::uint64_t committed_step_ = 0;
-  bool has_commit_ = false;
-
-  // Verification cadence: checkpoint periods since the last verification.
-  std::uint64_t periods_since_verify_ = 0;
-
-  // Differential-checkpoint state (see Coordinator): per-node block hash
-  // arrays of the last committed image, chained layers since the last full
-  // exchange, and the snapshot version of the current commit tip.
-  std::vector<std::vector<std::uint64_t>> hash_arrays_;
-  std::uint64_t dcp_layers_ = 0;
-  std::uint64_t dcp_tip_version_ = 0;
-
-  // Refill/retry/degraded-mode machine shared with the 1-D coordinator.
-  RecoveryEngine engine_;
 };
 
 }  // namespace dckpt::runtime

@@ -1,37 +1,27 @@
 #include "runtime/recovery_engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 #include "ckpt/recovery.hpp"
-#include "runtime/coordinator.hpp"
+#include "runtime/protocol.hpp"
 
 namespace dckpt::runtime {
 
-RecoveryEngine::RecoveryEngine(ckpt::GroupAssignment groups,
-                               std::uint64_t rereplication_delay_steps,
-                               ckpt::RetryPolicy retry, std::size_t keep_last)
-    : groups_(std::move(groups)), delay_steps_(rereplication_delay_steps),
-      retry_(retry), keep_last_(keep_last), armed_(groups_.nodes()),
-      lost_(groups_.nodes(), 0), sdc_epoch_(groups_.nodes(), 0) {
-  retry_.validate();
-  if (keep_last_ == 0) {
-    throw std::invalid_argument("RecoveryEngine: zero retention");
-  }
+RecoveryEngine::RecoveryEngine(const ProtocolConfig& config,
+                               ckpt::GroupAssignment groups, NodeSet& nodes)
+    : groups_(std::move(groups)), nodes_(nodes),
+      delay_steps_(config.rereplication_delay_steps),
+      retry_(config.transfer_retry), keep_last_(config.keep_last),
+      armed_(groups_.nodes()), lost_(groups_.nodes(), 0),
+      sdc_epoch_(groups_.nodes(), 0) {
   // The starting configuration is the implicit first restore point.
-  RetainedSet initial;
-  initial.epochs.assign(groups_.nodes(), 0);
-  initial.initial = true;
-  sets_.push_back(std::move(initial));
+  reset_ladder();
 }
 
-bool RecoveryEngine::fire_injections(
-    std::vector<FailureInjection>& pending, std::uint64_t step,
-    std::span<ckpt::BuddyStore* const> stores,
-    const std::function<void(std::uint64_t)>& destroy,
-    const std::function<void(std::uint64_t)>& silent_corrupt,
-    RunReport& report) {
+bool RecoveryEngine::fire_injections(std::vector<FailureInjection>& pending,
+                                     std::uint64_t step, RunReport& report) {
+  const auto stores = nodes_.stores();
   // Kind order within a step: silent corruption exists at rest before the
   // crash that exposes it, and a transfer fault arms before the loss whose
   // refill it will sabotage.
@@ -48,7 +38,7 @@ bool RecoveryEngine::fire_injections(
   fire_kind(InjectionKind::SilentError, [&](const FailureInjection& f) {
     // Latent in-memory damage: the node keeps computing on the corrupted
     // state and every snapshot taken from now on carries the epoch.
-    silent_corrupt(f.node);
+    nodes_.inject_sdc(f.node);
     ++sdc_epoch_[f.node];
     ++report.sdc_injected;
   });
@@ -62,21 +52,17 @@ bool RecoveryEngine::fire_injections(
     // its *first* ladder rung (pairs: the local copy; triples: the
     // preferred buddy) -- the copy a restore consults first. No-op when
     // the chain is shorter (e.g. right after a full commit).
-    const std::uint64_t holder =
-        groups_.topology() == ckpt::Topology::Pairs
-            ? f.node
-            : groups_.preferred_buddy(f.node);
+    const std::uint64_t holder = replica_holders(groups_, f.node).front();
     stores[holder]->corrupt_delta(f.node, f.window);
   });
-  fire_kind(InjectionKind::TornTransfer, [&](const FailureInjection& f) {
-    armed_[f.node].push_back(InjectionKind::TornTransfer);
-  });
-  fire_kind(InjectionKind::FailTransfer, [&](const FailureInjection& f) {
-    armed_[f.node].push_back(InjectionKind::FailTransfer);
-  });
+  const auto arm = [&](const FailureInjection& f) {
+    armed_[f.node].push_back(f.kind);
+  };
+  fire_kind(InjectionKind::TornTransfer, arm);
+  fire_kind(InjectionKind::FailTransfer, arm);
   bool any_loss = false;
   fire_kind(InjectionKind::NodeLoss, [&](const FailureInjection& f) {
-    destroy(f.node);
+    nodes_.destroy(f.node);
     ++report.failures;
     any_loss = true;
   });
@@ -84,28 +70,31 @@ bool RecoveryEngine::fire_injections(
 }
 
 void RecoveryEngine::rollback_and_refill(
-    std::uint64_t step, std::span<ckpt::BuddyStore* const> stores,
-    std::span<const std::uint64_t> committed_hashes, const RestoreFn& restore,
-    const BlankRestartFn& blank_restart, RunReport& report) {
+    std::uint64_t step, std::span<const std::uint64_t> committed_hashes,
+    RunReport& report) {
+  ++report.rollbacks;
+  if (!has_commit()) {
+    restart_from_initial();
+    return;
+  }
+  const auto stores = nodes_.stores();
   // In-flight refills die with the rollback; the set is re-derived below
   // from whichever stores the failure left empty.
   refill_.clear();
-  const std::uint64_t nodes = groups_.nodes();
-  for (std::uint64_t node = 0; node < nodes; ++node) {
+  const std::uint64_t n = groups_.nodes();
+  for (std::uint64_t node = 0; node < n; ++node) {
     stores[node]->discard_staged();
     if (lost_[node]) {
       // Already running degraded: the node has no committed image anywhere,
       // so there is no ladder to walk until the next commit readmits it.
-      blank_restart(node);
+      nodes_.blank_restart(node);
       sdc_epoch_[node] = 0;
       continue;
     }
     auto outcome =
         ckpt::select_replica(node, groups_, stores, committed_hashes[node]);
     report.corrupt_images_detected += outcome.corrupt_skipped;
-    if (outcome.torn_skipped > 0) {
-      report.torn_chain_failovers += outcome.torn_skipped;
-    }
+    report.torn_chain_failovers += outcome.torn_skipped;
     if (outcome.ok()) {
       if (outcome.report.source != node) {
         ++report.recoveries;
@@ -118,7 +107,7 @@ void RecoveryEngine::rollback_and_refill(
         ++report.chain_replays;
         report.chain_replay_depth += outcome.replayed_layers;
       }
-      restore(node, *outcome.image);
+      nodes_.restore(node, *outcome.image);
       // The restored image carries whatever corruption the committed set
       // captured -- the live epoch snaps back to the set's record.
       sdc_epoch_[node] = sets_.front().epochs[node];
@@ -129,7 +118,6 @@ void RecoveryEngine::rollback_and_refill(
     // initial condition, and let the run continue in degraded mode.
     ++report.recoveries;
     lost_[node] = 1;
-    ++lost_count_;
     if (!report.fatal) {
       report.fatal = true;
       report.degraded = true;
@@ -138,39 +126,41 @@ void RecoveryEngine::rollback_and_refill(
       report.fatal_reason = "fatal failure: no surviving replica of node " +
                             std::to_string(node);
     }
-    blank_restart(node);
+    nodes_.blank_restart(node);
     sdc_epoch_[node] = 0;  // fresh initial condition carries no corruption
   }
   // Re-replication: every store the failure emptied must be refilled before
-  // its group can take another hit (the model's risk window). A zero delay
-  // delivers inside the rollback, exactly like the blocking protocol.
-  for (std::uint64_t node = 0; node < nodes; ++node) {
-    if (stores[node]->committed_count() == 0) {
+  // its group can take another hit (the model's risk window).
+  schedule_refills(committed_hashes, report);
+}
+
+void RecoveryEngine::schedule_refills(
+    std::span<const std::uint64_t> committed_hashes, RunReport& report) {
+  for (std::uint64_t node = 0; node < groups_.nodes(); ++node) {
+    if (nodes_.store(node).committed_count() == 0) {
       refill_.push_back(RefillEntry{node, delay_steps_, 1, false});
     }
   }
-  if (delay_steps_ == 0) deliver_due(stores, committed_hashes, report);
+  if (delay_steps_ == 0) deliver_due(committed_hashes, report);
 }
 
-void RecoveryEngine::tick(std::span<ckpt::BuddyStore* const> stores,
-                          std::span<const std::uint64_t> committed_hashes,
+void RecoveryEngine::tick(std::span<const std::uint64_t> committed_hashes,
                           RunReport& report) {
   if (!refill_.empty()) {
     ++report.risk_steps;
     for (RefillEntry& entry : refill_) {
       if (!entry.abandoned && entry.due > 0) --entry.due;
     }
-    deliver_due(stores, committed_hashes, report);
+    deliver_due(committed_hashes, report);
   }
-  if (lost_count_ > 0) ++report.degraded_steps;
+  if (any_lost()) ++report.degraded_steps;
 }
 
-void RecoveryEngine::deliver_due(std::span<ckpt::BuddyStore* const> stores,
-                                 std::span<const std::uint64_t> committed_hashes,
-                                 RunReport& report) {
+void RecoveryEngine::deliver_due(
+    std::span<const std::uint64_t> committed_hashes, RunReport& report) {
   for (auto it = refill_.begin(); it != refill_.end();) {
     if (!it->abandoned && it->due == 0 &&
-        attempt_delivery(*it, stores, committed_hashes, report)) {
+        attempt_delivery(*it, committed_hashes, report)) {
       it = refill_.erase(it);
     } else {
       ++it;
@@ -179,8 +169,8 @@ void RecoveryEngine::deliver_due(std::span<ckpt::BuddyStore* const> stores,
 }
 
 bool RecoveryEngine::attempt_delivery(
-    RefillEntry& entry, std::span<ckpt::BuddyStore* const> stores,
-    std::span<const std::uint64_t> committed_hashes, RunReport& report) {
+    RefillEntry& entry, std::span<const std::uint64_t> committed_hashes,
+    RunReport& report) {
   // An armed transfer fault consumes exactly one delivery attempt.
   auto& faults = armed_[entry.node];
   if (!faults.empty()) {
@@ -203,7 +193,8 @@ bool RecoveryEngine::attempt_delivery(
     return false;
   }
   const auto outcome =
-      ckpt::restore_replicas(entry.node, groups_, stores, committed_hashes);
+      ckpt::restore_replicas(entry.node, groups_, nodes_.stores(),
+                             committed_hashes);
   report.corrupt_images_detected += outcome.corrupt_skipped;
   if (outcome.restored > 0) ++report.rereplications;
   report.chain_replays += outcome.chains_replayed;
@@ -215,10 +206,7 @@ void RecoveryEngine::on_commit(std::uint64_t snapshot_step,
                                std::span<const std::uint64_t> hashes,
                                std::span<const std::uint64_t> epochs) {
   refill_.clear();
-  if (lost_count_ > 0) {
-    std::fill(lost_.begin(), lost_.end(), char{0});
-    lost_count_ = 0;
-  }
+  std::fill(lost_.begin(), lost_.end(), char{0});
   // The new committed set becomes ladder depth 0; older sets age one rung
   // and the ring trims to the configured retention (the virtual initial
   // entry ages out like any other set).
@@ -230,24 +218,31 @@ void RecoveryEngine::on_commit(std::uint64_t snapshot_step,
   while (sets_.size() > keep_last_) sets_.pop_back();
 }
 
-void RecoveryEngine::reset_to_initial() {
-  std::fill(sdc_epoch_.begin(), sdc_epoch_.end(), std::uint64_t{0});
+void RecoveryEngine::reset_ladder() {
   sets_.clear();
-  RetainedSet initial;
-  initial.epochs.assign(groups_.nodes(), 0);
-  initial.initial = true;
-  sets_.push_back(std::move(initial));
+  sets_.push_back(
+      RetainedSet{0, {}, std::vector<std::uint64_t>(groups_.nodes(), 0), true});
 }
 
-RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
-    std::uint64_t step, std::span<ckpt::BuddyStore* const> stores,
-    std::vector<std::uint64_t>& committed_hashes, const RestoreFn& restore,
-    const BlankRestartFn& blank_restart, RunReport& report) {
+void RecoveryEngine::restart_from_initial() {
+  refill_.clear();
+  for (std::uint64_t node = 0; node < groups_.nodes(); ++node) {
+    nodes_.store(node).discard_staged();
+    nodes_.blank_restart(node);
+  }
+  std::fill(lost_.begin(), lost_.end(), char{0});
+  std::fill(sdc_epoch_.begin(), sdc_epoch_.end(), std::uint64_t{0});
+  reset_ladder();
+}
+
+std::optional<std::uint64_t> RecoveryEngine::verify_checkpoints(
+    std::uint64_t step, std::vector<std::uint64_t>& committed_hashes,
+    RunReport& report) {
+  const auto stores = nodes_.stores();
   ++report.verifications_run;
-  VerifyAction action;
   const bool clean = std::all_of(sdc_epoch_.begin(), sdc_epoch_.end(),
                                  [](std::uint64_t e) { return e == 0; });
-  if (clean) return action;
+  if (clean) return std::nullopt;
   ++report.sdc_detected;
 
   // Walk the ladder newest -> oldest for a set captured before every live
@@ -268,13 +263,9 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
     // truth and run on degraded -- exactly the fail-stop data-loss policy,
     // with the *detection* recorded instead of a silent wrong answer.
     if (!report.fatal) {
-      std::uint64_t culprit = 0;
-      for (std::uint64_t node = 0; node < sdc_epoch_.size(); ++node) {
-        if (sdc_epoch_[node] != 0) {
-          culprit = node;
-          break;
-        }
-      }
+      const auto it = std::find_if(sdc_epoch_.begin(), sdc_epoch_.end(),
+                                   [](std::uint64_t e) { return e != 0; });
+      const auto culprit = static_cast<std::uint64_t>(it - sdc_epoch_.begin());
       report.fatal = true;
       report.degraded = true;
       report.fatal_node = culprit;
@@ -284,12 +275,11 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
           ": no clean retained checkpoint set";
     }
     std::fill(sdc_epoch_.begin(), sdc_epoch_.end(), std::uint64_t{0});
-    return action;
+    return std::nullopt;
   }
 
   ++report.rollbacks;
   report.rollback_depth += outcome.depth;
-  action.rolled_back = true;
   // Any in-flight staging set was captured after the corruption (or is
   // about to be replayed); it dies with the rollback, as do in-flight
   // refills -- re-derived below against the installed set.
@@ -301,17 +291,9 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
   if (sets_.front().initial) {
     // Rolled all the way back to the starting configuration: every store
     // empties and every node re-initializes.
-    for (std::uint64_t node = 0; node < groups_.nodes(); ++node) {
-      blank_restart(node);
-    }
-    reset_to_initial();
-    if (lost_count_ > 0) {
-      std::fill(lost_.begin(), lost_.end(), char{0});
-      lost_count_ = 0;
-    }
-    action.to_initial = true;
-    action.resume_step = 0;
-    return action;
+    restart_from_initial();
+    committed_hashes.assign(groups_.nodes(), 0);
+    return 0;
   }
 
   // Install the selected set: set_restorable() already proved every node
@@ -321,28 +303,17 @@ RecoveryEngine::VerifyAction RecoveryEngine::verify_checkpoints(
   for (std::uint64_t node = 0; node < groups_.nodes(); ++node) {
     auto selected =
         ckpt::select_replica(node, groups_, stores, target.hashes[node]);
-    restore(node, *selected.image);
+    nodes_.restore(node, *selected.image);
     sdc_epoch_[node] = target.epochs[node];
   }
   committed_hashes.assign(target.hashes.begin(), target.hashes.end());
-  if (lost_count_ > 0) {
-    // Every node now runs verified committed data; nobody is blank.
-    std::fill(lost_.begin(), lost_.end(), char{0});
-    lost_count_ = 0;
-  }
+  // Every node now runs verified committed data; nobody is blank.
+  std::fill(lost_.begin(), lost_.end(), char{0});
   // A store whose depth ring ran out of sets is empty after the drop (e.g.
   // a replacement node refilled only at depth 0): schedule its refill like
   // any post-rollback re-replication.
-  for (std::uint64_t node = 0; node < groups_.nodes(); ++node) {
-    if (stores[node]->committed_count() == 0) {
-      refill_.push_back(RefillEntry{node, delay_steps_, 1, false});
-    }
-  }
-  if (delay_steps_ == 0 && !refill_.empty()) {
-    deliver_due(stores, committed_hashes, report);
-  }
-  action.resume_step = target.step;
-  return action;
+  schedule_refills(committed_hashes, report);
+  return target.step;
 }
 
 }  // namespace dckpt::runtime

@@ -5,4 +5,4 @@
 #include "runtime/coordinator.hpp"  // IWYU pragma: export
 #include "runtime/grid.hpp"         // IWYU pragma: export
 #include "runtime/kernel.hpp"       // IWYU pragma: export
-#include "runtime/worker.hpp"       // IWYU pragma: export
+#include "runtime/protocol.hpp"     // IWYU pragma: export

@@ -4,6 +4,7 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -305,6 +306,10 @@ void Server::accept_ready() {
     const int fd =
         ::accept4(listener_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN, or a racing client that went away
+    // Replies are small and often pipelined: without TCP_NODELAY, Nagle
+    // holds each second reply until the client's delayed ACK (~40 ms).
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     if (options_.sndbuf > 0) {
       ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.sndbuf,
                    sizeof(options_.sndbuf));

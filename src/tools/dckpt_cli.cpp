@@ -72,8 +72,8 @@ void add_sdc_options(util::CliParser& cli) {
 void apply_sdc_options(const util::CliParser& cli, sim::SimConfig& config) {
   config.sdc_rate = cli.get_double("sdc-rate");
   config.verify_cost = cli.get_double("verify-cost");
-  config.verify_every = static_cast<std::uint64_t>(cli.get_int("verify-every"));
-  config.keep_last = static_cast<std::uint64_t>(cli.get_int("keep-last"));
+  config.verify_every = cli.get_count("verify-every");
+  config.keep_last = cli.get_count("keep-last");
 }
 
 void add_predictor_options(util::CliParser& cli) {
@@ -113,8 +113,8 @@ void add_dcp_options(util::CliParser& cli) {
 model::DcpSpec dcp_from(const util::CliParser& cli) {
   model::DcpSpec dcp;
   dcp.dirty_fraction = cli.get_double("dirty-fraction");
-  dcp.block_size = static_cast<std::size_t>(cli.get_int("dcp-block"));
-  dcp.stack_size = static_cast<std::uint64_t>(cli.get_int("dcp-stack"));
+  dcp.block_size = cli.get_count("dcp-block");
+  dcp.stack_size = cli.get_count("dcp-stack");
   dcp.hash_overhead = cli.get_double("hash-overhead");
   return dcp;
 }
@@ -221,8 +221,8 @@ int cmd_simulate(int argc, const char* const* argv) {
                 .period;
 
   sim::MonteCarloOptions options;
-  options.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.trials = cli.get_count("trials");
+  options.seed = cli.get_count("seed");
   if (const auto engine = cli.get("engine"); engine == "scalar") {
     options.engine = sim::SimEngine::kScalar;
   } else if (engine != "batched") {
@@ -236,7 +236,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   }
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec spec;
-    spec.bins = static_cast<std::size_t>(cli.get_int("metrics-bins"));
+    spec.bins = cli.get_count("metrics-bins");
     options.metrics = spec;
   }
   const auto mc = sim::run_monte_carlo(config, options);
@@ -391,13 +391,13 @@ int cmd_sweep(int argc, const char* const* argv) {
     spec.base.nodes = 99996;  // keep per-node bookkeeping tractable
   }
   spec.t_base_in_mtbfs = cli.get_double("tbase-mtbfs");
-  spec.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  spec.trials = cli.get_count("trials");
+  spec.seed = cli.get_count("seed");
   spec.weibull_shape = cli.get_double("weibull-shape");
   spec.sdc_rate = cli.get_double("sdc-rate");
   spec.verify_cost = cli.get_double("verify-cost");
-  spec.verify_every = static_cast<std::uint64_t>(cli.get_int("verify-every"));
-  spec.keep_last = static_cast<std::uint64_t>(cli.get_int("keep-last"));
+  spec.verify_every = cli.get_count("verify-every");
+  spec.keep_last = cli.get_count("keep-last");
   spec.pred_recall = cli.get_double("pred-recall");
   spec.pred_precision = cli.get_double("pred-precision");
   spec.pred_window = cli.get_double("pred-window");
@@ -405,7 +405,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   spec.dcp = dcp_from(cli);
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec metrics;
-    metrics.bins = static_cast<std::size_t>(cli.get_int("metrics-bins"));
+    metrics.bins = cli.get_count("metrics-bins");
     spec.metrics = metrics;
   }
   if (cli.get_flag("progress")) {
@@ -502,7 +502,7 @@ int cmd_optimize(int argc, const char* const* argv) {
   config.dcp = dcp_from(cli);
 
   sim::OptimizeOptions options;
-  options.trials_per_eval = static_cast<std::uint64_t>(cli.get_int("trials"));
+  options.trials_per_eval = cli.get_count("trials");
   const double shape = cli.get_double("weibull-shape");
   if (shape > 0.0) {
     options.weibull =
@@ -578,10 +578,10 @@ int cmd_trace_gen(int argc, const char* const* argv) {
   cli.add_option("seed", "1", "random seed");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
+  const auto nodes = cli.get_count("nodes");
   const double mean = cli.get_double("node-mtbf");
   const double shape = cli.get_double("weibull-shape");
-  util::Xoshiro256ss rng(static_cast<std::uint64_t>(cli.get_int("seed")));
+  util::Xoshiro256ss rng(cli.get_count("seed"));
   std::vector<sim::FailureEvent> events;
   if (shape > 0.0) {
     events = sim::generate_failure_trace(util::Weibull::from_mean(shape, mean),
@@ -718,8 +718,7 @@ int cmd_spares(int argc, const char* const* argv) {
   spec.detection = cli.get_double("detection");
 
   util::TextTable table({"spares", "E[wait]", "D_eff", "Waste@P*"});
-  const auto max_spares =
-      static_cast<std::uint64_t>(cli.get_int("max-spares"));
+  const auto max_spares = cli.get_count("max-spares");
   for (std::uint64_t c = 1; c <= max_spares; c *= 2) {
     spec.spares = c;
     std::string wait = "unstable", downtime = "-", waste = "-";
@@ -829,81 +828,52 @@ int cmd_chaos(int argc, const char* const* argv) {
                  "'%s'\n", topology.c_str());
     std::exit(2);
   }
-  config.runtime.nodes = static_cast<std::uint64_t>(cli.get_int("nodes"));
-  config.runtime.cells_per_node =
-      static_cast<std::size_t>(cli.get_int("cells"));
-  config.runtime.total_steps =
-      static_cast<std::uint64_t>(cli.get_int("steps"));
-  config.runtime.checkpoint_interval =
-      static_cast<std::uint64_t>(cli.get_int("interval"));
-  config.runtime.staging_steps =
-      static_cast<std::uint64_t>(cli.get_int("staging"));
-  config.runtime.rereplication_delay_steps =
-      static_cast<std::uint64_t>(cli.get_int("rerepl-delay"));
-  config.runtime.transfer_retry.max_attempts =
-      static_cast<std::uint64_t>(cli.get_int("retry-max"));
-  config.runtime.transfer_retry.base_delay_steps =
-      static_cast<std::uint64_t>(cli.get_int("retry-base"));
-  config.runtime.verify_every =
-      static_cast<std::uint64_t>(cli.get_int("verify-every"));
-  config.runtime.keep_last =
-      static_cast<std::size_t>(cli.get_int("keep-last"));
-  config.runtime.dcp_stack_size =
-      static_cast<std::uint64_t>(cli.get_int("dcp-stack"));
-  config.runtime.dcp_block_size =
-      static_cast<std::size_t>(cli.get_int("dcp-block"));
+  config.runtime.nodes = cli.get_count("nodes");
+  config.runtime.cells_per_node = cli.get_count("cells");
+  config.runtime.total_steps = cli.get_count("steps");
+  config.runtime.checkpoint_interval = cli.get_count("interval");
+  config.runtime.staging_steps = cli.get_count("staging");
+  config.runtime.rereplication_delay_steps = cli.get_count("rerepl-delay");
+  config.runtime.transfer_retry.max_attempts = cli.get_count("retry-max");
+  config.runtime.transfer_retry.base_delay_steps = cli.get_count("retry-base");
+  config.runtime.verify_every = cli.get_count("verify-every");
+  config.runtime.keep_last = cli.get_count("keep-last");
+  config.runtime.dcp_stack_size = cli.get_count("dcp-stack");
+  config.runtime.dcp_block_size = cli.get_count("dcp-block");
   config.kernel = cli.get("kernel");
-  config.random_runs = static_cast<std::uint64_t>(cli.get_int("runs"));
-  config.campaign_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.max_failures =
-      static_cast<std::uint64_t>(cli.get_int("max-failures"));
+  config.random_runs = cli.get_count("runs");
+  config.campaign_seed = cli.get_count("seed");
+  config.max_failures = cli.get_count("max-failures");
   config.include_scripted = !cli.get_flag("random-only");
-  config.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  config.threads = cli.get_count("threads");
+
+  if (const auto spares = cli.get_count("spares"); spares > 0) {
+    // Bridge from the spare-pool model: expected allocation wait -> steps.
+    model::SparePoolSpec spec;
+    spec.spares = spares;
+    spec.repair_time = cli.get_double("repair");
+    spec.detection = cli.get_double("detection");
+    config.runtime.rereplication_delay_steps = chaos::spare_pool_delay_steps(
+        spec, cli.get_double("mtbf"), cli.get_double("step-seconds"));
+    std::printf("spare pool: %llu spares -> re-replication delay %llu "
+                "steps\n",
+                static_cast<unsigned long long>(spares),
+                static_cast<unsigned long long>(
+                    config.runtime.rereplication_delay_steps));
+  }
 
   if (!cli.get("grid").empty()) {
-    if (config.runtime.staging_steps > 0) {
-      std::fprintf(stderr, "dckpt chaos: --staging is not supported with "
-                   "--grid (the grid commits immediately)\n");
-      std::exit(2);
-    }
     const auto [rows, cols] =
         parse_geometry_cli("dckpt chaos", "grid", cli.get("grid"));
     const auto [brows, bcols] =
         parse_geometry_cli("dckpt chaos", "block", cli.get("block"));
     runtime::GridConfig gc;
-    gc.topology = config.runtime.topology;
+    static_cast<runtime::ProtocolConfig&>(gc) = config.runtime;
     gc.grid_rows = rows;
     gc.grid_cols = cols;
     gc.block_rows = brows;
     gc.block_cols = bcols;
-    gc.total_steps = config.runtime.total_steps;
-    gc.checkpoint_interval = config.runtime.checkpoint_interval;
-    gc.rereplication_delay_steps = config.runtime.rereplication_delay_steps;
-    gc.transfer_retry = config.runtime.transfer_retry;
-    gc.verify_every = config.runtime.verify_every;
-    gc.keep_last = config.runtime.keep_last;
-    gc.dcp_stack_size = config.runtime.dcp_stack_size;
-    gc.dcp_block_size = config.runtime.dcp_block_size;
     config.grid = gc;
-  }
-
-  if (const auto spares = cli.get_int("spares"); spares > 0) {
-    // Bridge from the spare-pool model: expected allocation wait -> steps.
-    model::SparePoolSpec spec;
-    spec.spares = static_cast<std::uint64_t>(spares);
-    spec.repair_time = cli.get_double("repair");
-    spec.detection = cli.get_double("detection");
-    config.runtime.rereplication_delay_steps = chaos::spare_pool_delay_steps(
-        spec, cli.get_double("mtbf"), cli.get_double("step-seconds"));
-    if (config.grid) {
-      config.grid->rereplication_delay_steps =
-          config.runtime.rereplication_delay_steps;
-    }
-    std::printf("spare pool: %lld spares -> re-replication delay %llu "
-                "steps\n",
-                static_cast<long long>(spares),
-                static_cast<unsigned long long>(
-                    config.runtime.rereplication_delay_steps));
   }
 
   const auto print_violation = [](const chaos::ChaosRunResult& run) {
@@ -1107,32 +1077,27 @@ int cmd_serve(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   sim::EvalServiceOptions options;
-  options.default_trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  options.max_trials = static_cast<std::uint64_t>(cli.get_int("max-trials"));
-  options.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  options.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache-capacity"));
+  options.default_trials = cli.get_count("trials");
+  options.max_trials = cli.get_count("max-trials");
+  options.threads = cli.get_count("threads");
+  options.cache_capacity = cli.get_count("cache-capacity");
   sim::EvalService service(options);
 
   const int port = static_cast<int>(cli.get_int("port"));
-  const auto stats_every =
-      static_cast<std::uint64_t>(cli.get_int("stats-every"));
+  const auto stats_every = cli.get_count("stats-every");
   if (port < 0) {
     return serve_stdin(service, stats_every, cli.get("stats-out"));
   }
   sim::ServerOptions server_options;
   server_options.port = port;
   server_options.once = cli.get_flag("once");
-  server_options.max_conns =
-      static_cast<std::size_t>(cli.get_int("max-conns"));
-  server_options.max_line = static_cast<std::size_t>(cli.get_int("max-line"));
+  server_options.max_conns = cli.get_count("max-conns");
+  server_options.max_line = cli.get_count("max-line");
   server_options.read_idle_ms = static_cast<int>(cli.get_int("read-timeout"));
   server_options.write_stall_ms =
       static_cast<int>(cli.get_int("write-timeout"));
-  server_options.queue_depth =
-      static_cast<std::size_t>(cli.get_int("queue-depth"));
-  server_options.high_water =
-      static_cast<std::size_t>(cli.get_int("high-water"));
+  server_options.queue_depth = cli.get_count("queue-depth");
+  server_options.high_water = cli.get_count("high-water");
   return serve_tcp(service, server_options, stats_every, cli.get("stats-out"));
 }
 

@@ -119,6 +119,12 @@ std::int64_t CliParser::get_int(const std::string& name) const {
   }
 }
 
+std::uint64_t CliParser::get_count(const std::string& name) const {
+  const std::int64_t value = get_int(name);
+  if (value < 0) exit_invalid_value(program_, name, get(name));
+  return static_cast<std::uint64_t>(value);
+}
+
 bool CliParser::get_flag(const std::string& name) const {
   auto vit = values_.find(name);
   return vit != values_.end() && vit->second == "1";

@@ -32,6 +32,9 @@ class CliParser {
   /// instead of leaking a raw std::stod exception out of the tool.
   double get_double(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
+  /// A non-negative integer (a count, size, step or seed); a negative
+  /// value is an invalid value like any other.
+  std::uint64_t get_count(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 
   /// Positional arguments left after options.

@@ -311,7 +311,9 @@ TEST(GridChaosRepro, CommandCarriesGridGeometryAndReplays) {
     EXPECT_NE(run.repro.find("dckpt chaos"), std::string::npos);
     EXPECT_NE(run.repro.find("--grid=4x4"), std::string::npos) << run.repro;
     EXPECT_NE(run.repro.find("--block=6x6"), std::string::npos) << run.repro;
-    // Chain-only knobs must not leak into grid repro lines.
+    // Chain-only knobs must not leak into grid repro lines, and a blocking
+    // grid (staging 0, the default) keeps its repro lines free of
+    // --staging= (the staging case follows below).
     EXPECT_EQ(run.repro.find("--cells="), std::string::npos) << run.repro;
     EXPECT_EQ(run.repro.find("--staging="), std::string::npos) << run.repro;
     EXPECT_NE(run.repro.find("--schedule=" + run.schedule.spec()),
@@ -322,6 +324,24 @@ TEST(GridChaosRepro, CommandCarriesGridGeometryAndReplays) {
     EXPECT_EQ(again.outcome, run.outcome);
     EXPECT_EQ(again.report.final_hash, run.report.final_hash);
     EXPECT_EQ(again.report.risk_steps, run.report.risk_steps);
+  }
+}
+
+TEST(GridChaosRepro, StagingGridCarriesStagingAndReplays) {
+  // The grid stages like the chain, so its repro lines must carry
+  // --staging= whenever it is set, and replaying one reproduces the run.
+  auto config = grid_campaign(Topology::Pairs);
+  config.grid->staging_steps = 3;
+  config.random_runs = 25;
+  const auto summary = chaos::run_campaign(config);
+  EXPECT_EQ(summary.violated, 0u);
+  for (const auto& run : summary.runs) {
+    EXPECT_NE(run.repro.find("--staging=3"), std::string::npos) << run.repro;
+    auto replay = chaos::ChaosSchedule::parse(run.schedule.spec());
+    const auto again =
+        chaos::run_one(config, replay, summary.reference_hash);
+    EXPECT_EQ(again.outcome, run.outcome);
+    EXPECT_EQ(again.report.final_hash, run.report.final_hash);
   }
 }
 
@@ -370,8 +390,9 @@ TEST(GridChaosExport, ChainRecordsKeepTheChainTargetId) {
 TEST(GridChaosSdc, LatentStrikeMatchesTheChainLadderMath) {
   // Same geometry-free ladder arithmetic as the chain test: interval 12,
   // k = 4, strike at 13 -> verification at 48 walks {36, 24, 12}, rollback
-  // depth 2, replay 36 steps. The grid commits immediately, so commit steps
-  // line up with the chain's.
+  // depth 2, replay 36 steps. This grid does not stage (staging 0), so it
+  // commits at every boundary and the commit steps line up with the
+  // chain's.
   auto config = grid_campaign(Topology::Pairs);
   config.grid->checkpoint_interval = 12;
   config.grid->total_steps = 96;

@@ -82,6 +82,9 @@ TEST(GridConfigTest, Validation) {
   config = small_grid();
   config.block_cols = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  config = small_grid();  // the shared protocol checks apply too
+  config.staging_steps = config.checkpoint_interval + 1;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 TEST(GridCoordinatorTest, FaultFreeDeterministic) {
@@ -266,6 +269,27 @@ TEST(GridCoordinatorTest, AlarmProactiveCheckpointMasksLoss) {
   EXPECT_EQ(report.checkpoints, predicted.checkpoints);
   EXPECT_EQ(report.replayed_steps, predicted.replayed_steps);
   EXPECT_EQ(report.rollbacks, predicted.rollbacks);
+}
+
+TEST(GridCoordinatorTest, FailureDuringStagingRollsBackFurther) {
+  // The grid stages like the chain: interval 6, staging 3 -- the snapshot
+  // of 12 commits at 15, so a loss at 14 falls back to the set of 6 and
+  // replays 8 steps (a blocking grid would replay 2). The oracle agrees.
+  auto config = small_grid();
+  const auto blocking = reference_hash(config);
+  config.staging_steps = 3;
+  EXPECT_EQ(reference_hash(config), blocking);
+  GridCoordinator coordinator(config, std::make_unique<HeatKernel2D>());
+  const FailureInjection failures[] = {{14, 1}};
+  const auto report = coordinator.run(failures);
+  ASSERT_FALSE(report.fatal) << report.fatal_reason;
+  EXPECT_EQ(report.replayed_steps, 8u);
+  EXPECT_EQ(report.final_hash, blocking);
+  const auto predicted =
+      dckpt::chaos::predict_outcome(ShadowConfig(config), failures);
+  EXPECT_EQ(report.replayed_steps, predicted.replayed_steps);
+  EXPECT_EQ(report.checkpoints, predicted.checkpoints);
+  EXPECT_EQ(report.recoveries, predicted.recoveries);
 }
 
 TEST(GridChaosSmoke, ScriptedGridCampaignNeverViolates) {

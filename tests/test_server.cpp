@@ -216,6 +216,32 @@ TEST(Server, AnswersPipelinedRequestsInOrder) {
   fixture.stop();
 }
 
+TEST(Server, PipelinedSecondReplyIsNotHeldByNagle) {
+  // Two pipelined closed-form requests produce two small replies. Without
+  // TCP_NODELAY the second one waits for the client's delayed ACK of the
+  // first (~40 ms on Linux). Taking the fastest of several tries keeps host
+  // noise from failing the test.
+  ServerFixture fixture;
+  Client client(fixture.port());
+  const std::string request = "EVAL kind=period protocol=Triple mtbf=3600\n";
+  client.send_all(request);  // warm-up: leaves the initial quick-ACK phase
+  ASSERT_EQ(client.read_json().at("record").as_string(), "eval");
+  double best_gap_ms = 1e9;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    client.send_all(request + request);
+    ASSERT_FALSE(client.read_line().empty());
+    const auto first = std::chrono::steady_clock::now();
+    ASSERT_FALSE(client.read_line().empty());
+    const std::chrono::duration<double, std::milli> gap =
+        std::chrono::steady_clock::now() - first;
+    best_gap_ms = std::min(best_gap_ms, gap.count());
+  }
+  EXPECT_LT(best_gap_ms, 20.0);
+  client.send_all("QUIT\n");
+  EXPECT_EQ(client.read_json().at("record").as_string(), "bye");
+  fixture.stop();
+}
+
 TEST(Server, AcceptsCrlfAndSkipsBlankLines) {
   ServerFixture fixture;
   Client client(fixture.port());
