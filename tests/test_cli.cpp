@@ -8,6 +8,8 @@
 
 #include <array>
 #include <chrono>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,23 +180,35 @@ TEST(CliParserTest, UsageListsOptions) {
 struct ToolRun {
   int exit_code = -1;  ///< -1 when the tool had to be killed
   std::chrono::duration<double> elapsed{};
+  std::string out;
   std::string err;
 };
 
-/// Runs the dckpt CLI with `args` (stdin from /dev/null, stdout
-/// discarded, stderr captured), killing it once `limit` has passed.
+/// Appends whatever `fd` (non-blocking) has ready to `sink`.
+void drain(int fd, std::string& sink) {
+  char buffer[4096];
+  for (ssize_t got; (got = read(fd, buffer, sizeof buffer)) > 0;) {
+    sink.append(buffer, static_cast<std::size_t>(got));
+  }
+}
+
+/// Runs the dckpt CLI with `args` (stdin from /dev/null, stdout and
+/// stderr captured), killing it once `limit` has passed.
 ToolRun run_dckpt(std::vector<std::string> args,
                   std::chrono::milliseconds limit) {
   using clock = std::chrono::steady_clock;
+  int out_pipe[2];
   int err_pipe[2];
+  EXPECT_EQ(pipe(out_pipe), 0);
   EXPECT_EQ(pipe(err_pipe), 0);
   const auto start = clock::now();
   const pid_t pid = fork();
   if (pid == 0) {
     const int null_fd = open("/dev/null", O_RDWR);
     dup2(null_fd, STDIN_FILENO);
-    dup2(null_fd, STDOUT_FILENO);
+    dup2(out_pipe[1], STDOUT_FILENO);
     dup2(err_pipe[1], STDERR_FILENO);
+    close(out_pipe[0]);
     close(err_pipe[0]);
     std::vector<char*> argv{const_cast<char*>(DCKPT_CLI_PATH)};
     for (std::string& arg : args) argv.push_back(arg.data());
@@ -202,11 +216,17 @@ ToolRun run_dckpt(std::vector<std::string> args,
     execv(DCKPT_CLI_PATH, argv.data());
     _exit(127);
   }
+  close(out_pipe[1]);
   close(err_pipe[1]);
+  fcntl(out_pipe[0], F_SETFL, O_NONBLOCK);
+  fcntl(err_pipe[0], F_SETFL, O_NONBLOCK);
   ToolRun run;
   int status = 0;
   bool killed = false;
   while (waitpid(pid, &status, WNOHANG) == 0) {
+    // Drain while waiting so a chatty tool never blocks on a full pipe.
+    drain(out_pipe[0], run.out);
+    drain(err_pipe[0], run.err);
     if (clock::now() - start > limit) {
       kill(pid, SIGKILL);
       waitpid(pid, &status, 0);
@@ -217,10 +237,9 @@ ToolRun run_dckpt(std::vector<std::string> args,
   }
   run.elapsed = clock::now() - start;
   if (!killed && WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
-  char buffer[4096];
-  for (ssize_t got; (got = read(err_pipe[0], buffer, sizeof buffer)) > 0;) {
-    run.err.append(buffer, static_cast<std::size_t>(got));
-  }
+  drain(out_pipe[0], run.out);
+  drain(err_pipe[0], run.err);
+  close(out_pipe[0]);
   close(err_pipe[0]);
   return run;
 }
@@ -259,5 +278,30 @@ TEST(DckptCountOptions, ServeNegativeMaxTrialsExits2) {
   // Wrapped to 2^64 - 1, the limit would silently reject nothing.
   expect_count_rejected({"serve", "--max-trials", "-1"}, "max-trials", "-1");
 }
+
+// ------------------------------------------------------ dckpt --help
+
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(DCKPT_GOLDEN_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The Monte-Carlo commands' option lists are part of the CLI contract:
+/// names, defaults and help text stay byte-identical.
+void expect_help_matches_golden(const std::string& command) {
+  const ToolRun run = run_dckpt({command, "--help"}, std::chrono::seconds(5));
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  const std::string golden = read_golden("cli_help_" + command + ".txt");
+  ASSERT_FALSE(golden.empty()) << "missing golden cli_help_" << command;
+  EXPECT_EQ(run.out, golden);
+}
+
+TEST(DckptHelp, SimulateHelpIsStable) { expect_help_matches_golden("simulate"); }
+
+TEST(DckptHelp, SweepHelpIsStable) { expect_help_matches_golden("sweep"); }
+
+TEST(DckptHelp, OptimizeHelpIsStable) { expect_help_matches_golden("optimize"); }
 
 }  // namespace

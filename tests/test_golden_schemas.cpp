@@ -269,6 +269,73 @@ TEST(GoldenSchema, EvalErrorFieldSet) {
   expect_matches_golden("eval_error.fields", sorted_keys(v));
 }
 
+/// A fixed EVAL script for the serve request parser: every key, every
+/// kind, a cached replay, the %.6g quantization fold, and each parse/limit
+/// error path. Replies are compared with the free-text `error` message
+/// left out; `code` is the contract.
+const std::vector<std::string> kServeScript = {
+    "EVAL kind=period protocol=Triple mtbf=3600",
+    "EVAL kind=period protocol=Triple mtbf=3600.0003",
+    "EVAL kind=period protocol=DoubleNBL scenario=exa mtbf=86400 "
+    "phi-ratio=0.5",
+    "EVAL kind=waste protocol=Triple mtbf=7200 phi-ratio=0.25 period=600",
+    "EVAL kind=waste protocol=DoubleBoF mtbf=3600 nodes=1200",
+    "EVAL kind=waste protocol=Triple mtbf=7200 phi-ratio=0.25 period=600",
+    "EVAL kind=risk protocol=Triple mtbf=3600 mission-hours=48",
+    "EVAL kind=risk protocol=DoubleNBL scenario=exa mission-hours=12",
+    "EVAL kind=sim protocol=DoubleNBL scenario=base mtbf=900 nodes=12 "
+    "tbase=5000 period=100 trials=30 seed=7",
+    "EVAL kind=sim protocol=DoubleNBL scenario=base mtbf=900 nodes=12 "
+    "tbase=5000 period=100 trials=30 seed=7",
+    "EVAL kind=sim protocol=Triple mtbf=900 nodes=12 tbase=4000 period=90 "
+    "trials=20 seed=3 weibull-shape=0.7",
+    "EVAL kind=sim protocol=Triple mtbf=1800 nodes=12 tbase=4000 trials=16",
+    "EVAL kind=sim protocol=DoubleBoF mtbf=1200 nodes=12 tbase=3000",
+    "EVAL kind=nonsense",
+    "EVAL protocol=Triple",
+    "EVAL kind=waste mtbf=banana",
+    "EVAL kind=period mtfb=3600",
+    "EVAL kind=period scenario=mars",
+    "EVAL kind=period protocol=Quadruple",
+    "EVAL kind=period mtbf=inf",
+    "EVAL kind=period mtbf=",
+    "EVAL kind=waste mtbf=3600 period=nan",
+    "EVAL kind=waste mtbf=3600 period=-10",
+    "EVAL kind=waste mtbf=10 phi-ratio=1",
+    "EVAL kind=period phi-ratio=1.5",
+    "EVAL kind=waste mtbf=3600 noequals",
+    "EVAL kind=period =5",
+    "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 seed=-1",
+    "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 period=90 trials=-5",
+    "EVAL kind=sim protocol=Triple mtbf=900 tbase=4000 nodes=1e300",
+    "EVAL kind=sim protocol=Triple mtbf=900 nodes=13 tbase=4000 period=90",
+    "EVAL kind=sim trials=999999999",
+    "EVAL kind=sim nodes=999999",
+    "FROBNICATE",
+};
+
+/// Runs kServeScript through one service and renders one JSONL line per
+/// request: {"reply": <record without "error">, "request": <line>}.
+std::string serve_script_replies() {
+  sim::EvalServiceOptions options;
+  options.threads = 1;
+  options.default_trials = 24;
+  sim::EvalService service(options);
+  std::string out;
+  for (const std::string& line : kServeScript) {
+    const auto reply = util::parse_json(service.handle_line(line));
+    auto kept = util::JsonValue::object();
+    for (const auto& [key, value] : reply.members()) {
+      if (key != "error") kept.set(key, value);
+    }
+    auto record = util::JsonValue::object();
+    record.set("request", line);
+    record.set("reply", std::move(kept));
+    out += record.dump() + "\n";
+  }
+  return out;
+}
+
 // ---------------------------------------------------------- value guards
 
 TEST(GoldenSchema, ChaosRunRecordIsByteStable) {
@@ -322,6 +389,10 @@ TEST(GoldenSchema, GridDcpChaosRunRecordIsByteStable) {
   ASSERT_GT(run.report.torn_chain_failovers, 0u);
   expect_matches_golden("chaos_run.grid.dcp.jsonl",
                         chaos::to_json(run).dump() + "\n");
+}
+
+TEST(GoldenSchema, ServeEvalRepliesAreByteStable) {
+  expect_matches_golden("serve_eval.jsonl", serve_script_replies());
 }
 
 }  // namespace
