@@ -3,7 +3,9 @@
 #
 #   1. Portable lint rules that need no tooling: no tab characters, no
 #      trailing whitespace, no CRLF line endings, every file ends with a
-#      newline. These always run and fail the gate on the first offender.
+#      newline, and no `static_cast<...>(cli.get_int(` in src/ (narrowing
+#      a parsed integer wraps hostile values; use get_count or get_int_in).
+#      These always run and fail the gate on the first offender.
 #   2. clang-format --dry-run --Werror against the repo's .clang-format.
 #      Runs when a clang-format binary is available (CI installs one); a
 #      box without the tool skips this layer with a notice instead of
@@ -38,6 +40,12 @@ if offenders=$(grep -rlP '[ \t]+$' "${FILES[@]}"); then
 fi
 if offenders=$(grep -rlP '\r' "${FILES[@]}"); then
   echo "check_format: CRLF line endings in:" >&2
+  echo "${offenders}" >&2
+  status=1
+fi
+if offenders=$(grep -rnP 'static_cast<[^>]*>\(\s*cli\.get_int\(' src); then
+  echo "check_format: narrowing cast of CliParser::get_int (use get_count" \
+       "or get_int_in):" >&2
   echo "${offenders}" >&2
   status=1
 fi

@@ -489,6 +489,15 @@ struct Engine {
 
 }  // namespace
 
+model::SdcSpec ScenarioAxes::sdc_spec() const {
+  return model::SdcSpec{sdc_rate, verify_cost, verify_every};
+}
+
+model::PredictorSpec ScenarioAxes::predictor_spec() const {
+  return model::PredictorSpec{pred_precision, pred_recall, pred_window,
+                              proactive_cost};
+}
+
 void SimConfig::validate() const {
   params.validate();
   if (!(t_base > 0.0) || !std::isfinite(t_base)) {
@@ -518,28 +527,7 @@ void SimConfig::validate() const {
         "SimConfig: silent errors require verification enabled "
         "(verify_every > 0)");
   }
-  if (!(pred_recall >= 0.0) || !std::isfinite(pred_recall) ||
-      pred_recall > 1.0) {
-    throw std::invalid_argument(
-        "SimConfig: pred_recall must be finite and in [0, 1]");
-  }
-  if (!(pred_precision >= 0.0) || !std::isfinite(pred_precision) ||
-      pred_precision > 1.0) {
-    throw std::invalid_argument(
-        "SimConfig: pred_precision must be finite and in [0, 1]");
-  }
-  if (pred_recall > 0.0 && !(pred_precision > 0.0)) {
-    throw std::invalid_argument(
-        "SimConfig: prediction requires pred_precision > 0");
-  }
-  if (!(pred_window >= 0.0) || !std::isfinite(pred_window)) {
-    throw std::invalid_argument(
-        "SimConfig: pred_window must be finite and >= 0");
-  }
-  if (!(proactive_cost >= 0.0) || !std::isfinite(proactive_cost)) {
-    throw std::invalid_argument(
-        "SimConfig: proactive_cost must be finite and >= 0");
-  }
+  predictor_spec().validate();
   dcp.validate();
 }
 

@@ -32,7 +32,9 @@
 
 #include "model/dcp.hpp"
 #include "model/parameters.hpp"
+#include "model/predictor.hpp"
 #include "model/protocol.hpp"
+#include "model/sdc.hpp"
 #include "sim/failure_injector.hpp"
 #include "sim/metrics.hpp"
 #include "sim/risk_tracker.hpp"
@@ -40,14 +42,11 @@
 
 namespace dckpt::sim {
 
-struct SimConfig {
-  model::Protocol protocol = model::Protocol::DoubleNbl;
-  model::Parameters params;
-  double period = 0.0;  ///< checkpoint period P (>= model::min_period)
-  double t_base = 0.0;  ///< useful work to complete
-  bool stop_on_fatal = true;   ///< end the run at the first fatal failure
-  double max_makespan = 0.0;   ///< livelock guard; 0 = 10^4 * t_base
-
+/// The optional Monte-Carlo axes beside the base scenario: silent errors
+/// with verified checkpoints, fault prediction and differential
+/// checkpointing. SimConfig and SweepSpec both derive from it, so an axis
+/// is copied between them with one assignment.
+struct ScenarioAxes {
   // Silent-error (SDC) extension with verified checkpoints. Strikes arrive
   // as a platform-wide Poisson process at rate `sdc_rate` (drawn from a
   // salted copy of the trial's RNG stream, so enabling them never perturbs
@@ -86,6 +85,21 @@ struct SimConfig {
   // grow by the expected base-plus-chain replay factor g. Composes with
   // every other axis (Weibull arrivals, SDC, prediction).
   model::DcpSpec dcp;
+
+  bool verifies() const noexcept { return verify_every > 0; }
+  bool predicts() const noexcept { return pred_recall > 0.0; }
+  /// The model-side views of the sdc and predictor axes.
+  model::SdcSpec sdc_spec() const;
+  model::PredictorSpec predictor_spec() const;
+};
+
+struct SimConfig : ScenarioAxes {
+  model::Protocol protocol = model::Protocol::DoubleNbl;
+  model::Parameters params;
+  double period = 0.0;  ///< checkpoint period P (>= model::min_period)
+  double t_base = 0.0;  ///< useful work to complete
+  bool stop_on_fatal = true;   ///< end the run at the first fatal failure
+  double max_makespan = 0.0;   ///< livelock guard; 0 = 10^4 * t_base
 
   void validate() const;
 };

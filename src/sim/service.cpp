@@ -1,14 +1,13 @@
 #include "sim/service.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "model/model_api.hpp"
 #include "sim/batch_kernel.hpp"
+#include "sim/scenario.hpp"
 
 namespace dckpt::sim {
 
@@ -21,66 +20,28 @@ constexpr double kLatencyLogLo = 0.0;
 constexpr double kLatencyLogHi = 7.0;
 constexpr std::size_t kLatencyBins = 140;
 
-/// Quantizes one numeric request parameter for the cache key. %.6g folds
-/// noise beyond six significant digits (1e-6 relative), so clients sending
-/// 25200.0000001 and 25200 share an entry; it is also exactly the rounding
-/// a planner UI slider produces.
-std::string quantize(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  return buf;
-}
+/// Most simulated events (periods plus failures) one kind=sim request may
+/// cost, as the model estimates them: trials x E[makespan] x (1/P + 1/M).
+/// Any platform within the default trial cap stays below it; a huge tbase
+/// or a stalled platform (infinite makespan) answers code=limit instead of
+/// occupying the service for hours.
+constexpr double kMaxSimEvents = 1e9;
 
-struct Request {
+/// One EVAL line: serve's own keys beside the table's platform and run
+/// groups (docs/SERVE.md lists all twelve).
+struct EvalRequest {
   std::string kind;
-  std::string protocol = "triple";
-  std::string scenario = "base";
-  double mtbf = 25200.0;
-  double phi_ratio = 0.25;
-  double nodes = 0.0;
-  double period = 0.0;   ///< 0 = closed-form optimum
-  double tbase = 100000.0;
-  double trials = 0.0;   ///< 0 = service default
-  double seed = 42.0;
-  double weibull_shape = 0.0;
+  ScenarioValues scenario;
+  std::uint64_t trials = 0;  ///< 0 = service default
   double mission_hours = 24.0;
 };
 
-/// Largest double that casts to an integer type without UB headroom
-/// worries: every integer up to 2^53 is exactly representable.
-constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
-
-double parse_number(const std::string& key, const std::string& text) {
-  double value = 0.0;
-  try {
-    std::size_t used = 0;
-    value = std::stod(text, &used);
-    if (used != text.size()) throw std::invalid_argument(text);
-  } catch (const std::exception&) {
-    throw EvalError("parse",
-                    "bad numeric value for '" + key + "': " + text);
-  }
-  // std::stod happily accepts "nan" and "inf"; every request parameter is
-  // a physical quantity, so non-finite values are always client errors
-  // (and would otherwise flow into casts and comparisons as poison).
-  if (!std::isfinite(value)) {
-    throw EvalError("parse",
-                    "non-finite value for '" + key + "': " + text);
-  }
-  return value;
+bool served(KeyGroup group) {
+  return group == KeyGroup::kPlatform || group == KeyGroup::kRun;
 }
 
-/// Guards the double -> uint64 casts: a negative or over-2^53 double makes
-/// the cast undefined behavior, so reject the request instead.
-void require_castable_count(const std::string& key, double value) {
-  if (value < 0.0 || value > kMaxExactInteger) {
-    throw EvalError("parse", "'" + key +
-                                 "' must be a non-negative integer <= 2^53");
-  }
-}
-
-Request parse_request(const std::string& line) {
-  Request req;
+EvalRequest parse_request(const std::string& line) {
+  EvalRequest req;
   std::istringstream in(line);
   std::string token;
   in >> token;  // consume "EVAL"
@@ -91,76 +52,41 @@ Request parse_request(const std::string& line) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
-    if (key == "kind") {
-      req.kind = value;
-    } else if (key == "protocol") {
-      req.protocol = value;
-    } else if (key == "scenario") {
-      req.scenario = value;
-    } else if (key == "mtbf") {
-      req.mtbf = parse_number(key, value);
-    } else if (key == "phi-ratio") {
-      req.phi_ratio = parse_number(key, value);
-    } else if (key == "nodes") {
-      req.nodes = parse_number(key, value);
-    } else if (key == "period") {
-      req.period = parse_number(key, value);
-    } else if (key == "tbase") {
-      req.tbase = parse_number(key, value);
-    } else if (key == "trials") {
-      req.trials = parse_number(key, value);
-    } else if (key == "seed") {
-      req.seed = parse_number(key, value);
-    } else if (key == "weibull-shape") {
-      req.weibull_shape = parse_number(key, value);
-    } else if (key == "mission-hours") {
-      req.mission_hours = parse_number(key, value);
-    } else {
-      throw std::invalid_argument("unknown key '" + key + "'");
+    try {
+      if (key == "kind") {
+        req.kind = value;
+      } else if (key == "trials") {
+        req.trials = parse_count(value);
+      } else if (key == "mission-hours") {
+        req.mission_hours = parse_real(value);
+      } else if (const ScenarioKey* scenario_key = find_scenario_key(key);
+                 scenario_key != nullptr && served(scenario_key->group)) {
+        scenario_key->set(req.scenario, value);
+      } else {
+        throw std::invalid_argument("unknown key '" + key + "'");
+      }
+    } catch (const ScenarioValueError& error) {
+      throw EvalError("parse", "'" + key + "': " + error.what());
     }
   }
   if (req.kind.empty()) {
     throw std::invalid_argument("missing kind= (waste|period|risk|sim)");
   }
-  if (req.scenario != "base" && req.scenario != "exa") {
-    throw std::invalid_argument("scenario must be base or exa");
-  }
-  require_castable_count("seed", req.seed);
-  require_castable_count("trials", req.trials);
-  require_castable_count("nodes", req.nodes);
-  if (req.period < 0.0) {
-    throw EvalError("parse", "'period' must be >= 0 (0 = closed-form)");
-  }
   return req;
 }
 
-model::Parameters params_from(const Request& req) {
-  const auto scenario = req.scenario == "exa" ? model::exa_scenario()
-                                              : model::base_scenario();
-  auto params =
-      scenario.at_phi_ratio(req.phi_ratio).with_mtbf(req.mtbf);
-  if (req.nodes > 0.0) {
-    params.nodes = static_cast<std::uint64_t>(req.nodes);
-  }
-  params.validate();
-  return params;
-}
-
-/// Canonical cache key: every parameter that influences the answer, in a
-/// fixed order, quantized. period=0 keys the "optimal period" variant.
-std::string cache_key(const Request& req) {
+/// Canonical cache key: the kind, then every served scenario key in table
+/// order, then serve's own keys -- reals quantized, so period=0 keys the
+/// "optimal period" variant.
+std::string cache_key(const EvalRequest& req) {
   std::string key = req.kind;
-  key += '|';
-  key += req.protocol;
-  key += '|';
-  key += req.scenario;
-  for (const double v :
-       {req.mtbf, req.phi_ratio, req.nodes, req.period, req.tbase, req.trials,
-        req.seed, req.weibull_shape, req.mission_hours}) {
-    key += '|';
-    key += quantize(v);
+  for (const auto& scenario_key : scenario_keys()) {
+    if (served(scenario_key.group)) {
+      key += '|' + scenario_key.canonical(req.scenario);
+    }
   }
-  return key;
+  return key + '|' + std::to_string(req.trials) + '|' +
+         quantized(req.mission_hours);
 }
 
 double resolve_period(model::Protocol protocol,
@@ -261,7 +187,7 @@ EvalService::RequestClass EvalService::classify_line(
   in >> command;
   if (command != "EVAL") return RequestClass::kLight;
   try {
-    const Request req = parse_request(line);
+    const EvalRequest req = parse_request(line);
     if (req.kind != "sim") return RequestClass::kLight;
     // A cached sim replays in microseconds: admit it inline rather than
     // burning a queue slot (and possibly a busy rejection) on it.
@@ -273,7 +199,7 @@ EvalService::RequestClass EvalService::classify_line(
 }
 
 util::JsonValue EvalService::handle_eval(const std::string& line) {
-  const Request req = parse_request(line);
+  const EvalRequest req = parse_request(line);
   const std::string key = cache_key(req);
   if (util::JsonValue* hit = cache_.get(key)) {
     util::JsonValue response = *hit;
@@ -281,15 +207,16 @@ util::JsonValue EvalService::handle_eval(const std::string& line) {
     return response;
   }
 
-  const auto protocol = model::parse_protocol_name(req.protocol);
-  const auto params = params_from(req);
+  const ScenarioValues& scenario = req.scenario;
+  const auto protocol = model::parse_protocol_name(scenario.protocol);
+  const auto params = scenario.platform();
   auto v = util::JsonValue::object();
   v.set("record", "eval");
   v.set("kind", req.kind);
   v.set("protocol", model::protocol_name(protocol));
 
   if (req.kind == "waste") {
-    const double period = resolve_period(protocol, params, req.period);
+    const double period = resolve_period(protocol, params, scenario.period);
     v.set("period", period);
     v.set("waste", model::waste(protocol, params, period));
     v.set("min_period", model::min_period(protocol, params));
@@ -305,31 +232,33 @@ util::JsonValue EvalService::handle_eval(const std::string& line) {
           model::success_probability(protocol, params, mission));
     v.set("mission_hours", req.mission_hours);
   } else if (req.kind == "sim") {
-    if (params.nodes > 100000) {
+    if (params.nodes > kMaxSimNodes) {
       throw EvalError("limit", "nodes too large for kind=sim (keep <= 100000)");
     }
-    SimConfig config;
-    config.protocol = protocol;
-    config.params = params;
-    config.t_base = req.tbase;
-    config.stop_on_fatal = false;
-    config.period = resolve_period(protocol, params, req.period);
+    SimConfig config = scenario.sim_config();
+    config.period = resolve_period(protocol, params, scenario.period);
 
     MonteCarloOptions mc_options;
     const std::uint64_t trials =
-        req.trials > 0.0 ? static_cast<std::uint64_t>(req.trials)
-                         : options_.default_trials;
+        req.trials > 0 ? req.trials : options_.default_trials;
     if (trials > options_.max_trials) {
       throw EvalError("limit", "trials exceeds the service limit");
     }
+    config.validate();
+    const double events =
+        static_cast<double>(trials) *
+        model::expected_makespan(protocol, params, config.period,
+                                 config.t_base) *
+        (1.0 / config.period + 1.0 / params.mtbf);
+    if (!(events <= kMaxSimEvents)) {
+      throw EvalError("limit", "simulated work exceeds the service limit "
+                               "(lower tbase or trials)");
+    }
     mc_options.trials = trials;
-    mc_options.seed = static_cast<std::uint64_t>(req.seed);
+    mc_options.seed = scenario.seed;
     mc_options.threads = options_.threads;
     mc_options.engine = options_.engine;
-    if (req.weibull_shape > 0.0) {
-      mc_options.weibull = util::Weibull::from_mean(req.weibull_shape,
-                                                    params.node_mtbf());
-    }
+    mc_options.weibull = weibull_arrivals(scenario.weibull_shape, params);
     const auto mc = run_monte_carlo(config, mc_options, pool_);
     kernel_.merge(mc.kernel);
     sim_trials_ += trials;

@@ -10,6 +10,7 @@
 #include "sim/protocol_sim.hpp"      // IWYU pragma: export
 #include "sim/risk_tracker.hpp"      // IWYU pragma: export
 #include "sim/runner.hpp"            // IWYU pragma: export
+#include "sim/scenario.hpp"          // IWYU pragma: export
 #include "sim/server.hpp"            // IWYU pragma: export
 #include "sim/service.hpp"           // IWYU pragma: export
 #include "sim/sweep.hpp"             // IWYU pragma: export

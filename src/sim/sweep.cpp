@@ -2,12 +2,9 @@
 
 #include <chrono>
 
-#include "model/nonexponential.hpp"
 #include "model/period.hpp"
-#include "model/predictor.hpp"
-#include "model/sdc.hpp"
 #include "model/waste.hpp"
-#include "util/distributions.hpp"
+#include "sim/scenario.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dckpt::sim {
@@ -63,72 +60,31 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
           }
           point.period = opt.period;
         }
-        point.model_waste =
-            model::waste(protocol, params, point.period);
-        if (point.model_waste >= 1.0) {
+        if (model::waste(protocol, params, point.period) >= 1.0) {
           ++progress.points_skipped;
           report(nullptr, seconds_since(point_start));
           continue;
         }
-        const double t_base = spec.t_base_in_mtbfs * mtbf;
-        point.weibull_shape = spec.weibull_shape;
-        point.model_waste_weibull = point.model_waste;
-        if (spec.weibull_shape > 0.0) {
-          // Horizon = expected makespan under the exponential model: the
-          // startup-transient correction depends on how long the mission
-          // actually runs, not on the fault-free work.
-          const model::WeibullFailures failures{
-              spec.weibull_shape,
-              model::expected_makespan(protocol, params, point.period,
-                                       t_base)};
-          point.model_waste_weibull =
-              model::waste(protocol, params, point.period, failures);
-        }
-        point.model_waste_sdc = point.model_waste;
-        if (spec.verify_every > 0) {
-          const model::SdcSpec sdc{spec.sdc_rate, spec.verify_cost,
-                                   spec.verify_every};
-          point.model_waste_sdc =
-              model::waste_with_sdc(protocol, params, point.period, sdc);
-        }
-        point.model_waste_pred = point.model_waste;
-        if (spec.pred_recall > 0.0) {
-          const model::PredictorSpec pred{spec.pred_precision,
-                                          spec.pred_recall, spec.pred_window,
-                                          spec.proactive_cost};
-          point.model_waste_pred =
-              model::waste_with_predictor(protocol, params, point.period,
-                                          pred);
-        }
-        point.model_waste_dcp = point.model_waste;
-        if (spec.dcp.enabled()) {
-          point.model_waste_dcp =
-              model::waste_with_dcp(protocol, params, point.period, spec.dcp);
-        }
-
         SimConfig config;
+        static_cast<ScenarioAxes&>(config) = spec;
         config.protocol = protocol;
         config.params = params;
         config.period = point.period;
-        config.t_base = t_base;
+        config.t_base = spec.t_base_in_mtbfs * mtbf;
         config.stop_on_fatal = false;
-        config.sdc_rate = spec.sdc_rate;
-        config.verify_cost = spec.verify_cost;
-        config.verify_every = spec.verify_every;
-        config.keep_last = spec.keep_last;
-        config.pred_precision = spec.pred_precision;
-        config.pred_recall = spec.pred_recall;
-        config.pred_window = spec.pred_window;
-        config.proactive_cost = spec.proactive_cost;
-        config.dcp = spec.dcp;
+        const auto waste = model_waste(config, spec.weibull_shape);
+        point.model_waste = waste.base;
+        point.weibull_shape = spec.weibull_shape;
+        point.model_waste_weibull = waste.axis[kWeibullAxis];
+        point.model_waste_sdc = waste.axis[kSdcAxis];
+        point.model_waste_pred = waste.axis[kPredictorAxis];
+        point.model_waste_dcp = waste.axis[kDcpAxis];
+
         MonteCarloOptions options;
         options.trials = spec.trials;
         options.seed = spec.seed;
         options.metrics = spec.metrics;
-        if (spec.weibull_shape > 0.0) {
-          options.weibull =
-              util::Weibull::from_mean(spec.weibull_shape, params.node_mtbf());
-        }
+        options.weibull = weibull_arrivals(spec.weibull_shape, params);
         point.result = run_monte_carlo(config, options, pool);
         rows.push_back(std::move(point));
         ++progress.points_done;

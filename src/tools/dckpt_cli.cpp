@@ -18,13 +18,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cinttypes>
 #include <csignal>
 
+#include <array>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,96 +45,36 @@ namespace {
 
 using namespace dckpt;
 
-void add_platform_options(util::CliParser& cli) {
-  cli.add_option("scenario", "base", "base | exa hardware constants");
-  cli.add_option("mtbf", "25200", "platform MTBF, seconds");
-  cli.add_option("phi-ratio", "0.25", "overhead fraction phi/R in [0,1]");
-  cli.add_option("nodes", "0", "override node count (0 = scenario default)");
-}
+using sim::KeyGroup;
+
+/// Every scenario key group: the simulate/sweep/optimize option set.
+constexpr std::initializer_list<KeyGroup> kAllGroups = {
+    KeyGroup::kPlatform, KeyGroup::kRun, KeyGroup::kSdc,
+    KeyGroup::kPredictor, KeyGroup::kDcp};
 
 model::Parameters platform_from(const util::CliParser& cli) {
-  const auto scenario = cli.get("scenario") == "exa" ? model::exa_scenario()
-                                                     : model::base_scenario();
-  auto params = scenario.at_phi_ratio(cli.get_double("phi-ratio"))
-                    .with_mtbf(cli.get_double("mtbf"));
-  if (const auto nodes = cli.get_int("nodes"); nodes > 0) {
-    params.nodes = static_cast<std::uint64_t>(nodes);
+  return sim::scenario_from(cli).platform();
+}
+
+/// Splits a comma-separated list ("60,3600,86400"), dropping empty items.
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> items;
+  std::istringstream in(text);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) items.push_back(item);
   }
-  params.validate();
-  return params;
+  return items;
 }
 
-void add_sdc_options(util::CliParser& cli) {
-  cli.add_option("sdc-rate", "0",
-                 "platform silent-error rate, strikes/s (0 = off)");
-  cli.add_option("verify-cost", "0", "blocking verification time V, seconds");
-  cli.add_option("verify-every", "0",
-                 "periods between verifications k (0 = verification off)");
-  cli.add_option("keep-last", "1", "retained committed checkpoint sets l");
-}
-
-void apply_sdc_options(const util::CliParser& cli, sim::SimConfig& config) {
-  config.sdc_rate = cli.get_double("sdc-rate");
-  config.verify_cost = cli.get_double("verify-cost");
-  config.verify_every = cli.get_count("verify-every");
-  config.keep_last = cli.get_count("keep-last");
-}
-
-void add_predictor_options(util::CliParser& cli) {
-  cli.add_option("pred-recall", "0",
-                 "fault-predictor recall r in [0,1] (0 = predictor off)");
-  cli.add_option("pred-precision", "1",
-                 "fault-predictor precision p in (0,1]");
-  cli.add_option("pred-window", "0",
-                 "prediction-window width w, seconds (0 = just-in-time)");
-  cli.add_option("proactive-cost", "0",
-                 "proactive checkpoint cost C_p, seconds");
-}
-
-void apply_predictor_options(const util::CliParser& cli,
-                             sim::SimConfig& config) {
-  config.pred_recall = cli.get_double("pred-recall");
-  config.pred_precision = cli.get_double("pred-precision");
-  config.pred_window = cli.get_double("pred-window");
-  config.proactive_cost = cli.get_double("proactive-cost");
-}
-
-model::PredictorSpec predictor_from(const sim::SimConfig& config) {
-  return model::PredictorSpec{config.pred_precision, config.pred_recall,
-                              config.pred_window, config.proactive_cost};
-}
-
-void add_dcp_options(util::CliParser& cli) {
-  cli.add_option("dirty-fraction", "1",
-                 "per-page dirty fraction per period d in [0,1]");
-  cli.add_option("dcp-block", "4096", "differential block size B, bytes");
-  cli.add_option("dcp-stack", "0",
-                 "commits per full exchange K (0 = every commit full)");
-  cli.add_option("hash-overhead", "0",
-                 "content-hash scan cost h, fraction of a full image");
-}
-
-model::DcpSpec dcp_from(const util::CliParser& cli) {
-  model::DcpSpec dcp;
-  dcp.dirty_fraction = cli.get_double("dirty-fraction");
-  dcp.block_size = cli.get_count("dcp-block");
-  dcp.stack_size = cli.get_count("dcp-stack");
-  dcp.hash_overhead = cli.get_double("hash-overhead");
-  return dcp;
-}
-
-/// Splits a comma-separated list ("60,3600,86400") into doubles.
-std::vector<double> parse_double_list(const std::string& text) {
+/// The doubles of list option `name`; an item that breaks the real rule
+/// makes the whole value invalid.
+std::vector<double> parse_double_list(const util::CliParser& cli,
+                                      const std::string& name) {
   std::vector<double> values;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const auto comma = text.find(',', pos);
-    const std::string item =
-        text.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    if (!item.empty()) values.push_back(std::stod(item));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  for (const auto& item : split_list(cli.get(name))) {
+    const auto value = util::parse_finite(item);
+    if (!value) cli.exit_invalid_value(name);
+    values.push_back(*value);
   }
   return values;
 }
@@ -139,7 +83,7 @@ std::vector<double> parse_double_list(const std::string& text) {
 
 int cmd_plan(int argc, const char* const* argv) {
   util::CliParser cli("dckpt plan", "rank protocols for a platform");
-  add_platform_options(cli);
+  sim::add_scenario_options(cli, {KeyGroup::kPlatform});
   cli.add_option("mission-hours", "24", "mission length for risk/restarts");
   if (!cli.parse(argc, argv)) return 0;
   const auto params = platform_from(cli);
@@ -179,19 +123,10 @@ int cmd_plan(int argc, const char* const* argv) {
 
 int cmd_simulate(int argc, const char* const* argv) {
   util::CliParser cli("dckpt simulate", "Monte-Carlo campaign");
-  add_platform_options(cli);
-  cli.add_option("protocol", "triple", "protocol to simulate");
-  cli.add_option("tbase", "100000", "application work, seconds");
+  sim::add_scenario_options(cli, kAllGroups);
   cli.add_option("trials", "500", "Monte-Carlo trials");
-  cli.add_option("seed", "42", "master seed");
-  cli.add_option("period", "0", "checkpoint period (0 = model optimum)");
-  cli.add_option("weibull-shape", "0",
-                 "use per-node Weibull streams with this shape (0 = exp)");
   cli.add_option("engine", "batched",
                  "batched | scalar trial engine (bit-identical results)");
-  add_sdc_options(cli);
-  add_predictor_options(cli);
-  add_dcp_options(cli);
   cli.add_option("metrics-out", "",
                  "write a JSONL metrics record (with per-trial histograms)");
   cli.add_option("trace-out", "",
@@ -199,41 +134,25 @@ int cmd_simulate(int argc, const char* const* argv) {
   cli.add_option("metrics-bins", "64", "histogram bins for --metrics-out");
   if (!cli.parse(argc, argv)) return 0;
 
-  sim::SimConfig config;
-  config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
-  config.params = platform_from(cli);
-  if (config.params.nodes > 100000) {
+  const auto scenario = sim::scenario_from(cli);
+  const auto config = scenario.sim_config();
+  if (scenario.platform().nodes > sim::kMaxSimNodes) {
     // Keep per-node bookkeeping tractable for the default CLI path.
-    config.params.nodes = 99996;  // divisible by 2 and 3
     std::printf("note: node count capped at %llu for simulation\n",
                 static_cast<unsigned long long>(config.params.nodes));
   }
-  config.t_base = cli.get_double("tbase");
-  config.stop_on_fatal = false;
-  apply_sdc_options(cli, config);
-  apply_predictor_options(cli, config);
-  config.dcp = dcp_from(cli);
-  const double period = cli.get_double("period");
-  config.period =
-      period > 0.0
-          ? period
-          : model::optimal_period_closed_form(config.protocol, config.params)
-                .period;
 
   sim::MonteCarloOptions options;
   options.trials = cli.get_count("trials");
-  options.seed = cli.get_count("seed");
+  options.seed = scenario.seed;
   if (const auto engine = cli.get("engine"); engine == "scalar") {
     options.engine = sim::SimEngine::kScalar;
   } else if (engine != "batched") {
     throw std::invalid_argument("option --engine: invalid value '" + engine +
                                 "' (expected batched or scalar)");
   }
-  const double shape = cli.get_double("weibull-shape");
-  if (shape > 0.0) {
-    options.weibull =
-        util::Weibull::from_mean(shape, config.params.node_mtbf());
-  }
+  const double shape = scenario.weibull_shape;
+  options.weibull = sim::weibull_arrivals(shape, config.params);
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec spec;
     spec.bins = cli.get_count("metrics-bins");
@@ -256,74 +175,38 @@ int cmd_simulate(int argc, const char* const* argv) {
                 cli.get("trace-out").c_str(), trace.events().size());
   }
 
-  const double model_waste =
-      model::waste(config.protocol, config.params, config.period);
+  const auto on = sim::axes_on(config, shape);
+  const auto model_waste = sim::model_waste(config, shape);
   util::TextTable table({"metric", "value"});
   table.add_row({"period", util::format_duration(config.period)});
-  table.add_row({"model waste", util::format_percent(model_waste, 2)});
-  if (shape > 0.0) {
-    // Clustered-failure model at the expected-makespan horizon, so the
-    // row is directly comparable to the simulated Weibull waste.
-    const model::WeibullFailures failures{
-        shape, model::expected_makespan(config.protocol, config.params,
-                                        config.period, config.t_base)};
-    const double weibull_waste =
-        model::waste(config.protocol, config.params, config.period, failures);
-    table.add_row({"model waste (weibull k=" + util::format_fixed(shape, 2) +
+  table.add_row({"model waste", util::format_percent(model_waste.base, 2)});
+  for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
+    if (!on[axis]) continue;
+    table.add_row({"model waste (" +
+                       sim::axis_label(static_cast<sim::Axis>(axis), shape) +
                        ")",
-                   util::format_percent(weibull_waste, 2)});
-  }
-  if (config.verify_every > 0) {
-    const model::SdcSpec sdc{config.sdc_rate, config.verify_cost,
-                             config.verify_every};
-    table.add_row(
-        {"model waste (verified ckpt)",
-         util::format_percent(model::waste_with_sdc(config.protocol,
-                                                    config.params,
-                                                    config.period, sdc),
-                              2)});
-  }
-  if (config.pred_recall > 0.0) {
-    table.add_row({"model waste (predictor)",
-                   util::format_percent(
-                       model::waste_with_predictor(config.protocol,
-                                                   config.params,
-                                                   config.period,
-                                                   predictor_from(config)),
-                       2)});
-  }
-  if (config.dcp.enabled()) {
-    table.add_row({"model waste (dcp)",
-                   util::format_percent(
-                       model::waste_with_dcp(config.protocol, config.params,
-                                             config.period, config.dcp),
-                       2)});
+                   util::format_percent(model_waste.axis[axis], 2)});
   }
   table.add_row({"sim waste",
                  util::format_percent(mc.waste.mean(), 2) + " +/- " +
                      util::format_percent(mc.waste.confidence_halfwidth(), 2)});
   table.add_row({"mean makespan", util::format_duration(mc.makespan.mean())});
-  table.add_row({"mean failures/run",
-                 util::format_fixed(mc.failures.mean(), 2)});
-  if (config.verify_every > 0) {
-    table.add_row({"mean strikes/run",
-                   util::format_fixed(mc.sdc_injected.mean(), 2)});
-    table.add_row({"mean detections/run",
-                   util::format_fixed(mc.sdc_detected.mean(), 2)});
+  const auto add_mean = [&](const char* label, const util::RunningStats& s) {
+    table.add_row({label, util::format_fixed(s.mean(), 2)});
+  };
+  add_mean("mean failures/run", mc.failures);
+  if (on[sim::kSdcAxis]) {
+    add_mean("mean strikes/run", mc.sdc_injected);
+    add_mean("mean detections/run", mc.sdc_detected);
     table.add_row({"mean verify time/run",
                    util::format_duration(mc.verify_time.mean())});
-    table.add_row({"mean rollback depth/run",
-                   util::format_fixed(mc.rollback_depth.mean(), 2)});
+    add_mean("mean rollback depth/run", mc.rollback_depth);
   }
-  if (config.pred_recall > 0.0) {
-    table.add_row({"mean alarms/run",
-                   util::format_fixed(mc.alarms_raised.mean(), 2)});
-    table.add_row({"mean proactive ckpts/run",
-                   util::format_fixed(mc.proactive_ckpts.mean(), 2)});
-    table.add_row({"mean true predictions/run",
-                   util::format_fixed(mc.true_predictions.mean(), 2)});
-    table.add_row({"mean missed failures/run",
-                   util::format_fixed(mc.missed_failures.mean(), 2)});
+  if (on[sim::kPredictorAxis]) {
+    add_mean("mean alarms/run", mc.alarms_raised);
+    add_mean("mean proactive ckpts/run", mc.proactive_ckpts);
+    add_mean("mean true predictions/run", mc.true_predictions);
+    add_mean("mean missed failures/run", mc.missed_failures);
   }
   table.add_row({"survival rate",
                  util::format_fixed(mc.success.estimate(), 4)});
@@ -337,29 +220,25 @@ int cmd_simulate(int argc, const char* const* argv) {
 int cmd_sweep(int argc, const char* const* argv) {
   util::CliParser cli("dckpt sweep",
                       "Monte-Carlo campaigns over a (protocol, M, phi) grid");
-  cli.add_option("scenario", "base", "base | exa hardware constants");
+  // M and phi/R are list flags here; the run keys come per grid point.
+  sim::add_scenario_options(cli, kAllGroups,
+                            {"mtbf", "phi-ratio", "protocol", "tbase",
+                             "period"});
   cli.add_option("protocols", "all",
                  "comma list of protocol names, or 'all' / 'paper'");
   cli.add_option("mtbfs", "3600,14400,86400", "comma list of MTBFs, seconds");
   cli.add_option("phi-ratios", "0,0.25,0.5,1",
                  "comma list of overhead fractions phi/R");
-  cli.add_option("nodes", "0", "override node count (0 = scenario default)");
   cli.add_option("tbase-mtbfs", "25", "t_base as a multiple of each MTBF");
   cli.add_option("trials", "60", "Monte-Carlo trials per grid point");
-  cli.add_option("seed", "42", "master seed");
-  cli.add_option("weibull-shape", "0",
-                 "use per-node Weibull streams with this shape (0 = exp)");
-  add_sdc_options(cli);
-  add_predictor_options(cli);
-  add_dcp_options(cli);
   cli.add_option("metrics-out", "", "write one JSONL sweep row per point");
   cli.add_option("metrics-bins", "64", "histogram bins for --metrics-out");
   cli.add_flag("progress", "print per-point progress and throughput");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto scenario = cli.get("scenario") == "exa" ? model::exa_scenario()
-                                                     : model::base_scenario();
+  const auto scenario = sim::scenario_from(cli);
   sim::SweepSpec spec;
+  static_cast<sim::ScenarioAxes&>(spec) = scenario;
   const std::string protocols = cli.get("protocols");
   if (protocols == "all") {
     spec.protocols.assign(model::kAllProtocols.begin(),
@@ -368,41 +247,17 @@ int cmd_sweep(int argc, const char* const* argv) {
     spec.protocols.assign(model::kPaperProtocols.begin(),
                           model::kPaperProtocols.end());
   } else {
-    std::size_t pos = 0;
-    while (pos <= protocols.size()) {
-      const auto comma = protocols.find(',', pos);
-      const std::string item =
-          protocols.substr(pos, comma == std::string::npos
-                                    ? std::string::npos
-                                    : comma - pos);
-      if (!item.empty()) {
-        spec.protocols.push_back(model::parse_protocol_name(item));
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
+    for (const auto& item : split_list(protocols)) {
+      spec.protocols.push_back(model::parse_protocol_name(item));
     }
   }
-  spec.mtbfs = parse_double_list(cli.get("mtbfs"));
-  spec.phi_ratios = parse_double_list(cli.get("phi-ratios"));
-  spec.base = scenario.params;
-  if (const auto nodes = cli.get_int("nodes"); nodes > 0) {
-    spec.base.nodes = static_cast<std::uint64_t>(nodes);
-  } else if (spec.base.nodes > 100000) {
-    spec.base.nodes = 99996;  // keep per-node bookkeeping tractable
-  }
+  spec.mtbfs = parse_double_list(cli, "mtbfs");
+  spec.phi_ratios = parse_double_list(cli, "phi-ratios");
+  spec.base = scenario.sim_platform();
   spec.t_base_in_mtbfs = cli.get_double("tbase-mtbfs");
   spec.trials = cli.get_count("trials");
-  spec.seed = cli.get_count("seed");
-  spec.weibull_shape = cli.get_double("weibull-shape");
-  spec.sdc_rate = cli.get_double("sdc-rate");
-  spec.verify_cost = cli.get_double("verify-cost");
-  spec.verify_every = cli.get_count("verify-every");
-  spec.keep_last = cli.get_count("keep-last");
-  spec.pred_recall = cli.get_double("pred-recall");
-  spec.pred_precision = cli.get_double("pred-precision");
-  spec.pred_window = cli.get_double("pred-window");
-  spec.proactive_cost = cli.get_double("proactive-cost");
-  spec.dcp = dcp_from(cli);
+  spec.seed = scenario.seed;
+  spec.weibull_shape = scenario.weibull_shape;
   if (!cli.get("metrics-out").empty()) {
     sim::MetricsSpec metrics;
     metrics.bins = cli.get_count("metrics-bins");
@@ -419,52 +274,34 @@ int cmd_sweep(int argc, const char* const* argv) {
   }
 
   const auto rows = sim::run_sweep(spec);
-  const bool weibull = spec.weibull_shape > 0.0;
-  const bool sdc = spec.verify_every > 0;
-  const bool pred = spec.pred_recall > 0.0;
-  const bool dcp = spec.dcp.enabled();
+  const auto on = sim::axes_on(spec, spec.weibull_shape);
+  static constexpr std::array<const char*, sim::kAxisCount> kModelColumns = {
+      "weibull model", "sdc model", "pred model", "dcp model"};
   std::vector<std::string> headers = {"protocol", "M", "phi", "P",
-                                      "model waste", "sim waste",
-                                      "mean risk time", "survival"};
-  if (dcp) {
-    headers.insert(headers.begin() + 5, "dcp model");
+                                      "model waste"};
+  for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
+    if (on[axis]) headers.emplace_back(kModelColumns[axis]);
   }
-  if (pred) {
-    headers.insert(headers.begin() + 5, "pred model");
-  }
-  if (sdc) {
-    headers.insert(headers.begin() + 5, "sdc model");
-  }
-  if (weibull) {
-    headers.insert(headers.begin() + 5, "weibull model");
-  }
+  headers.insert(headers.end(), {"sim waste", "mean risk time", "survival"});
   util::TextTable table(std::move(headers));
   for (const auto& row : rows) {
+    const std::array<double, sim::kAxisCount> model_waste = {
+        row.model_waste_weibull, row.model_waste_sdc, row.model_waste_pred,
+        row.model_waste_dcp};
     std::vector<std::string> cells = {
         std::string(model::protocol_name(row.protocol)),
         util::format_duration(row.mtbf), util::format_fixed(row.phi, 1),
         util::format_duration(row.period),
-        util::format_percent(row.model_waste, 2),
-        util::format_percent(row.result.waste.mean(), 2) + " +/- " +
-            util::format_percent(row.result.waste.confidence_halfwidth(), 2),
-        util::format_duration(row.result.risk_time.mean()),
-        util::format_fixed(row.result.success.estimate(), 4)};
-    if (dcp) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_dcp, 2));
+        util::format_percent(row.model_waste, 2)};
+    for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
+      if (on[axis]) cells.push_back(util::format_percent(model_waste[axis], 2));
     }
-    if (pred) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_pred, 2));
-    }
-    if (sdc) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_sdc, 2));
-    }
-    if (weibull) {
-      cells.insert(cells.begin() + 5,
-                   util::format_percent(row.model_waste_weibull, 2));
-    }
+    cells.insert(
+        cells.end(),
+        {util::format_percent(row.result.waste.mean(), 2) + " +/- " +
+             util::format_percent(row.result.waste.confidence_halfwidth(), 2),
+         util::format_duration(row.result.risk_time.mean()),
+         util::format_fixed(row.result.success.estimate(), 4)});
     table.add_row(std::move(cells));
   }
   std::printf("%s", table.render().c_str());
@@ -481,82 +318,35 @@ int cmd_sweep(int argc, const char* const* argv) {
 int cmd_optimize(int argc, const char* const* argv) {
   util::CliParser cli("dckpt optimize",
                       "find the empirically optimal period by simulation");
-  add_platform_options(cli);
+  // The period is what this command searches for; the seed is fixed by
+  // common random numbers.
+  sim::add_scenario_options(cli, kAllGroups, {"period", "seed"});
   cli.add_option("protocol", "doublenbl", "protocol to optimize");
   cli.add_option("tbase", "50000", "application work per trial, seconds");
   cli.add_option("trials", "40", "trials per candidate period");
-  cli.add_option("weibull-shape", "0",
-                 "use per-node Weibull streams with this shape (0 = exp)");
-  add_sdc_options(cli);
-  add_predictor_options(cli);
-  add_dcp_options(cli);
   if (!cli.parse(argc, argv)) return 0;
 
-  sim::SimConfig config;
-  config.protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
-  config.params = platform_from(cli);
-  if (config.params.nodes > 100000) config.params.nodes = 99996;
-  config.t_base = cli.get_double("tbase");
-  apply_sdc_options(cli, config);
-  apply_predictor_options(cli, config);
-  config.dcp = dcp_from(cli);
-
+  const auto scenario = sim::scenario_from(cli);
+  const auto config = scenario.sim_config();
+  const double shape = scenario.weibull_shape;
   sim::OptimizeOptions options;
   options.trials_per_eval = cli.get_count("trials");
-  const double shape = cli.get_double("weibull-shape");
-  if (shape > 0.0) {
-    options.weibull =
-        util::Weibull::from_mean(shape, config.params.node_mtbf());
-  }
-  const auto model_opt =
-      model::optimal_period_closed_form(config.protocol, config.params);
+  options.weibull = sim::weibull_arrivals(shape, config.params);
+  const auto model_opt = sim::model_optimum(config, shape);
   const auto empirical = sim::optimize_period_empirically(config, options);
 
   util::TextTable table({"source", "period", "waste"});
   table.add_row({"closed form (Eq. 9/10/15)",
-                 util::format_duration(model_opt.period),
-                 util::format_percent(model_opt.waste, 3)});
-  if (shape > 0.0) {
-    // Clustered-failure optimum at the horizon of the closed-form plan:
-    // what the corrected objective would have picked.
-    const model::WeibullFailures failures{
-        shape, model::expected_makespan(config.protocol, config.params,
-                                        model_opt.period, config.t_base)};
-    const auto weibull_opt =
-        model::optimal_period_numeric(config.protocol, config.params,
-                                      failures);
-    table.add_row({"numeric (weibull k=" + util::format_fixed(shape, 2) + ")",
-                   util::format_duration(weibull_opt.period),
-                   util::format_percent(weibull_opt.waste, 3)});
-  }
-  if (config.verify_every > 0) {
-    // Verified-checkpoint objective: where the (V, k, P) model says the
-    // period should move once verification overhead and strike losses bite.
-    const model::SdcSpec sdc{config.sdc_rate, config.verify_cost,
-                             config.verify_every};
-    const auto sdc_opt =
-        model::optimal_period_with_sdc(config.protocol, config.params, sdc);
-    table.add_row({"numeric (verified ckpt)",
-                   util::format_duration(sdc_opt.period),
-                   util::format_percent(sdc_opt.waste, 3)});
-  }
-  if (config.pred_recall > 0.0) {
-    // Predictor objective: handled failures cost a proactive checkpoint
-    // instead of a rollback, so the optimum stretches by 1/sqrt(1 - r_t).
-    const auto pred_opt = model::optimal_period_with_predictor(
-        config.protocol, config.params, predictor_from(config));
-    table.add_row({"numeric (predictor)",
-                   util::format_duration(pred_opt.period),
-                   util::format_percent(pred_opt.waste, 3)});
-  }
-  if (config.dcp.enabled()) {
-    // dcp objective: cheaper commits pull the optimum down, costlier
-    // chain-replay recovery pushes it back up.
-    const auto dcp_opt = model::optimal_period_with_dcp(
-        config.protocol, config.params, config.dcp);
-    table.add_row({"numeric (dcp)",
-                   util::format_duration(dcp_opt.period),
-                   util::format_percent(dcp_opt.waste, 3)});
+                 util::format_duration(model_opt.base.period),
+                 util::format_percent(model_opt.base.waste, 3)});
+  const auto on = sim::axes_on(config, shape);
+  for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
+    if (!on[axis]) continue;
+    table.add_row(
+        {"numeric (" + sim::axis_label(static_cast<sim::Axis>(axis), shape) +
+             ")",
+         util::format_duration(model_opt.axis[axis].period),
+         util::format_percent(model_opt.axis[axis].waste, 3)});
   }
   table.add_row({"empirical (simulation)",
                  util::format_duration(empirical.period),
@@ -635,7 +425,7 @@ int cmd_trace_fit(int argc, const char* const* argv) {
 int cmd_hierarchy(int argc, const char* const* argv) {
   util::CliParser cli("dckpt hierarchy",
                       "plan buddy level 1 + stable-storage level 2");
-  add_platform_options(cli);
+  sim::add_scenario_options(cli, {KeyGroup::kPlatform});
   cli.add_option("global-ckpt", "900", "global checkpoint cost, seconds");
   cli.add_option("global-recovery", "900", "global recovery cost, seconds");
   if (!cli.parse(argc, argv)) return 0;
@@ -704,7 +494,7 @@ int cmd_overlap(int argc, const char* const* argv) {
 int cmd_spares(int argc, const char* const* argv) {
   util::CliParser cli("dckpt spares",
                       "spare-pool sizing and its downtime/waste impact");
-  add_platform_options(cli);
+  sim::add_scenario_options(cli, {KeyGroup::kPlatform});
   cli.add_option("protocol", "doublenbl", "protocol for the waste column");
   cli.add_option("repair", "3600", "mean spare repair/return time, seconds");
   cli.add_option("detection", "30", "failure detection time, seconds");
@@ -905,47 +695,30 @@ int cmd_chaos(int argc, const char* const* argv) {
                 std::string(chaos::outcome_name(run.outcome)).c_str(),
                 run.schedule.spec().c_str(),
                 run.detail.empty() ? "" : ": ", run.detail.c_str());
-    std::printf("steps %llu (replayed %llu), checkpoints %llu, rollbacks "
-                "%llu, recoveries %llu, rereplications %llu, risk steps "
-                "%llu\n",
-                static_cast<unsigned long long>(run.report.steps_executed),
-                static_cast<unsigned long long>(run.report.replayed_steps),
-                static_cast<unsigned long long>(run.report.checkpoints),
-                static_cast<unsigned long long>(run.report.rollbacks),
-                static_cast<unsigned long long>(run.report.recoveries),
-                static_cast<unsigned long long>(run.report.rereplications),
-                static_cast<unsigned long long>(run.report.risk_steps));
-    std::printf("failovers %llu, transfer retries %llu, corrupt images "
-                "detected %llu, degraded steps %llu, hash-verified "
-                "recoveries %llu\n",
-                static_cast<unsigned long long>(run.report.failovers),
-                static_cast<unsigned long long>(run.report.transfer_retries),
-                static_cast<unsigned long long>(
-                    run.report.corrupt_images_detected),
-                static_cast<unsigned long long>(run.report.degraded_steps),
-                static_cast<unsigned long long>(
-                    run.report.hash_verified_recoveries));
-    std::printf("sdc injected %llu, verifications %llu, sdc detected %llu, "
-                "rollback depth %llu\n",
-                static_cast<unsigned long long>(run.report.sdc_injected),
-                static_cast<unsigned long long>(run.report.verifications_run),
-                static_cast<unsigned long long>(run.report.sdc_detected),
-                static_cast<unsigned long long>(run.report.rollback_depth));
-    std::printf("alarms %llu, proactive ckpts %llu, true predictions %llu, "
-                "missed failures %llu\n",
-                static_cast<unsigned long long>(run.report.alarms_raised),
-                static_cast<unsigned long long>(run.report.proactive_ckpts),
-                static_cast<unsigned long long>(run.report.true_predictions),
-                static_cast<unsigned long long>(run.report.missed_failures));
-    std::printf("delta commits %llu, full commits %llu, chain replays %llu, "
-                "chain replay depth %llu, torn-chain failovers %llu\n",
-                static_cast<unsigned long long>(run.report.delta_commits),
-                static_cast<unsigned long long>(run.report.full_commits),
-                static_cast<unsigned long long>(run.report.chain_replays),
-                static_cast<unsigned long long>(
-                    run.report.chain_replay_depth),
-                static_cast<unsigned long long>(
-                    run.report.torn_chain_failovers));
+    const auto& r = run.report;
+    std::printf("steps %" PRIu64 " (replayed %" PRIu64 "), checkpoints %" PRIu64
+                ", rollbacks %" PRIu64 ", recoveries %" PRIu64
+                ", rereplications %" PRIu64 ", risk steps %" PRIu64 "\n",
+                r.steps_executed, r.replayed_steps, r.checkpoints, r.rollbacks,
+                r.recoveries, r.rereplications, r.risk_steps);
+    std::printf("failovers %" PRIu64 ", transfer retries %" PRIu64
+                ", corrupt images detected %" PRIu64 ", degraded steps %" PRIu64
+                ", hash-verified recoveries %" PRIu64 "\n",
+                r.failovers, r.transfer_retries, r.corrupt_images_detected,
+                r.degraded_steps, r.hash_verified_recoveries);
+    std::printf("sdc injected %" PRIu64 ", verifications %" PRIu64
+                ", sdc detected %" PRIu64 ", rollback depth %" PRIu64 "\n",
+                r.sdc_injected, r.verifications_run, r.sdc_detected,
+                r.rollback_depth);
+    std::printf("alarms %" PRIu64 ", proactive ckpts %" PRIu64
+                ", true predictions %" PRIu64 ", missed failures %" PRIu64 "\n",
+                r.alarms_raised, r.proactive_ckpts, r.true_predictions,
+                r.missed_failures);
+    std::printf("delta commits %" PRIu64 ", full commits %" PRIu64
+                ", chain replays %" PRIu64 ", chain replay depth %" PRIu64
+                ", torn-chain failovers %" PRIu64 "\n",
+                r.delta_commits, r.full_commits, r.chain_replays,
+                r.chain_replay_depth, r.torn_chain_failovers);
     return 0;
   }
 
@@ -1081,23 +854,21 @@ int cmd_serve(int argc, const char* const* argv) {
   options.max_trials = cli.get_count("max-trials");
   options.threads = cli.get_count("threads");
   options.cache_capacity = cli.get_count("cache-capacity");
-  sim::EvalService service(options);
-
-  const int port = static_cast<int>(cli.get_int("port"));
-  const auto stats_every = cli.get_count("stats-every");
-  if (port < 0) {
-    return serve_stdin(service, stats_every, cli.get("stats-out"));
-  }
+  // Every flag is checked up front, whichever mode --port picks.
   sim::ServerOptions server_options;
-  server_options.port = port;
+  server_options.port = cli.get_int_in("port", -1, 65535);
   server_options.once = cli.get_flag("once");
   server_options.max_conns = cli.get_count("max-conns");
   server_options.max_line = cli.get_count("max-line");
-  server_options.read_idle_ms = static_cast<int>(cli.get_int("read-timeout"));
-  server_options.write_stall_ms =
-      static_cast<int>(cli.get_int("write-timeout"));
+  server_options.read_idle_ms = cli.get_int_in("read-timeout", 1, INT_MAX);
+  server_options.write_stall_ms = cli.get_int_in("write-timeout", 1, INT_MAX);
   server_options.queue_depth = cli.get_count("queue-depth");
   server_options.high_water = cli.get_count("high-water");
+  const auto stats_every = cli.get_count("stats-every");
+  sim::EvalService service(options);
+  if (server_options.port < 0) {
+    return serve_stdin(service, stats_every, cli.get("stats-out"));
+  }
   return serve_tcp(service, server_options, stats_every, cli.get("stats-out"));
 }
 

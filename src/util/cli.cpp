@@ -1,5 +1,7 @@
 #include "util/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -8,15 +10,25 @@ namespace dckpt::util {
 
 namespace {
 
-[[noreturn]] void exit_invalid_value(const std::string& program,
-                                     const std::string& name,
-                                     const std::string& value) {
-  std::fprintf(stderr, "%s: option --%s: invalid value '%s'\n",
-               program.c_str(), name.c_str(), value.c_str());
-  std::exit(2);
+template <typename T>
+std::optional<T> parse_token(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
+
+std::optional<double> parse_finite(const std::string& text) {
+  const auto value = parse_token<double>(text);
+  return value && std::isfinite(*value) ? value : std::nullopt;
+}
+
+std::optional<std::int64_t> parse_integer(const std::string& text) {
+  return parse_token<std::int64_t>(text);
+}
 
 CliParser::CliParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -52,13 +64,13 @@ bool CliParser::parse(int argc, const char* const* argv) {
     if (it == options_.end()) {
       std::fprintf(stderr, "%s: unknown option --%s\n%s", program_.c_str(),
                    name.c_str(), usage().c_str());
-      return false;
+      std::exit(2);
     }
     if (it->second.is_flag) {
       if (inline_value) {
         std::fprintf(stderr, "%s: flag --%s takes no value\n", program_.c_str(),
                      name.c_str());
-        return false;
+        std::exit(2);
       }
       values_[name] = std::string("1");
       continue;
@@ -75,11 +87,11 @@ bool CliParser::parse(int argc, const char* const* argv) {
                    "--%s=%s if that is really the value)\n",
                    program_.c_str(), name.c_str(), argv[i + 1], name.c_str(),
                    argv[i + 1]);
-      return false;
+      std::exit(2);
     } else {
       std::fprintf(stderr, "%s: option --%s needs a value\n", program_.c_str(),
                    name.c_str());
-      return false;
+      std::exit(2);
     }
   }
   return true;
@@ -96,33 +108,31 @@ std::string CliParser::get(const std::string& name) const {
 }
 
 double CliParser::get_double(const std::string& name) const {
-  const std::string text = get(name);
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) exit_invalid_value(program_, name, text);
-    return value;
-  } catch (const std::logic_error&) {  // invalid_argument / out_of_range
-    exit_invalid_value(program_, name, text);
-  }
+  if (const auto value = parse_finite(get(name))) return *value;
+  exit_invalid_value(name);
 }
 
 std::int64_t CliParser::get_int(const std::string& name) const {
-  const std::string text = get(name);
-  try {
-    std::size_t used = 0;
-    const std::int64_t value = std::stoll(text, &used);
-    if (used != text.size()) exit_invalid_value(program_, name, text);
-    return value;
-  } catch (const std::logic_error&) {
-    exit_invalid_value(program_, name, text);
-  }
+  if (const auto value = parse_integer(get(name))) return *value;
+  exit_invalid_value(name);
 }
 
 std::uint64_t CliParser::get_count(const std::string& name) const {
   const std::int64_t value = get_int(name);
-  if (value < 0) exit_invalid_value(program_, name, get(name));
+  if (value < 0) exit_invalid_value(name);
   return static_cast<std::uint64_t>(value);
+}
+
+int CliParser::get_int_in(const std::string& name, int lo, int hi) const {
+  const std::int64_t value = get_int(name);
+  if (value < lo || value > hi) exit_invalid_value(name);
+  return static_cast<int>(value);
+}
+
+void CliParser::exit_invalid_value(const std::string& name) const {
+  std::fprintf(stderr, "%s: option --%s: invalid value '%s'\n",
+               program_.c_str(), name.c_str(), get(name).c_str());
+  std::exit(2);
 }
 
 bool CliParser::get_flag(const std::string& name) const {

@@ -66,22 +66,27 @@ TEST(CliParserTest, PositionalArguments) {
   EXPECT_EQ(parser.positional()[1], "pos2");
 }
 
-TEST(CliParserTest, UnknownOptionFails) {
+// Usage errors exit 2 from parse() itself, like the getters' invalid
+// values, so no caller can turn them into a successful exit.
+TEST(CliParserDeathTest, UnknownOptionFails) {
   auto parser = make_parser();
   const std::array argv = {"prog", "--bogus", "1"};
-  EXPECT_FALSE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              testing::ExitedWithCode(2), "prog: unknown option --bogus");
 }
 
-TEST(CliParserTest, MissingValueFails) {
+TEST(CliParserDeathTest, MissingValueFails) {
   auto parser = make_parser();
   const std::array argv = {"prog", "--mtbf"};
-  EXPECT_FALSE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              testing::ExitedWithCode(2), "prog: option --mtbf needs a value");
 }
 
-TEST(CliParserTest, FlagWithValueFails) {
+TEST(CliParserDeathTest, FlagWithValueFails) {
   auto parser = make_parser();
   const std::array argv = {"prog", "--verbose=1"};
-  EXPECT_FALSE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              testing::ExitedWithCode(2), "prog: flag --verbose takes no value");
 }
 
 TEST(CliParserTest, HelpReturnsFalse) {
@@ -97,11 +102,13 @@ TEST(CliParserTest, UndeclaredGetThrows) {
   EXPECT_THROW(parser.get("nope"), std::invalid_argument);
 }
 
-TEST(CliParserTest, OptionLikeValueIsRejected) {
+TEST(CliParserDeathTest, OptionLikeValueIsRejected) {
   // `--mtbf --trials 5` used to silently bind mtbf = "--trials".
   auto parser = make_parser();
   const std::array argv = {"prog", "--mtbf", "--protocol", "5"};
-  EXPECT_FALSE(parser.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()), argv.data()),
+              testing::ExitedWithCode(2),
+              "option --mtbf needs a value \\(got '--protocol'");
 }
 
 TEST(CliParserTest, OptionLikeValueAllowedViaEquals) {
@@ -244,10 +251,10 @@ ToolRun run_dckpt(std::vector<std::string> args,
   return run;
 }
 
-/// A negative count must be rejected up front -- exit 2 with the usual
-/// invalid-value message, well within a second -- instead of wrapping to a
-/// huge unsigned value.
-void expect_count_rejected(std::vector<std::string> args,
+/// A hostile value must be rejected up front -- exit 2 with the usual
+/// invalid-value message, well within a second -- instead of wrapping,
+/// running with a silent default, or leaking a raw exception.
+void expect_invalid_value(std::vector<std::string> args,
                            const std::string& option,
                            const std::string& value) {
   const ToolRun run = run_dckpt(std::move(args), std::chrono::seconds(1));
@@ -261,22 +268,111 @@ void expect_count_rejected(std::vector<std::string> args,
 
 TEST(DckptCountOptions, SimulateNegativeTrialsExits2) {
   // Wrapped to 2^64 - 1 trials, the campaign would never finish.
-  expect_count_rejected({"simulate", "--trials", "-1"}, "trials", "-1");
+  expect_invalid_value({"simulate", "--trials", "-1"}, "trials", "-1");
 }
 
 TEST(DckptCountOptions, ChaosNegativeStepsExits2) {
   // Wrapped to 2^64 - 5 steps, the reference run would never finish.
-  expect_count_rejected({"chaos", "--steps", "-5"}, "steps", "-5");
+  expect_invalid_value({"chaos", "--steps", "-5"}, "steps", "-5");
 }
 
 TEST(DckptCountOptions, ChaosNegativeDcpStackExits2) {
   // Wrapped, it would pass validation as a huge K and run a campaign.
-  expect_count_rejected({"chaos", "--dcp-stack", "-3"}, "dcp-stack", "-3");
+  expect_invalid_value({"chaos", "--dcp-stack", "-3"}, "dcp-stack", "-3");
 }
 
 TEST(DckptCountOptions, ServeNegativeMaxTrialsExits2) {
   // Wrapped to 2^64 - 1, the limit would silently reject nothing.
-  expect_count_rejected({"serve", "--max-trials", "-1"}, "max-trials", "-1");
+  expect_invalid_value({"serve", "--max-trials", "-1"}, "max-trials", "-1");
+}
+
+TEST(DckptScenarioOptions, SimulateNegativeWeibullShapeExits2) {
+  // Used to run exponential arrivals without a word.
+  expect_invalid_value({"simulate", "--weibull-shape", "-2"}, "weibull-shape",
+                       "-2");
+}
+
+TEST(DckptScenarioOptions, SimulateNanWeibullShapeExits2) {
+  expect_invalid_value({"simulate", "--weibull-shape", "nan"},
+                       "weibull-shape", "nan");
+}
+
+TEST(DckptScenarioOptions, SimulateNegativePeriodExits2) {
+  // Used to fall back to the closed-form optimum.
+  expect_invalid_value({"simulate", "--period", "-5"}, "period", "-5");
+}
+
+TEST(DckptScenarioOptions, SimulateNanPeriodExits2) {
+  expect_invalid_value({"simulate", "--period", "nan"}, "period", "nan");
+}
+
+TEST(DckptScenarioOptions, SimulateNegativeNodesExits2) {
+  // Used to fall back to the scenario's node count.
+  expect_invalid_value({"simulate", "--nodes", "-5"}, "nodes", "-5");
+}
+
+TEST(DckptScenarioOptions, OptimizeNanSdcRateExits2) {
+  expect_invalid_value({"optimize", "--sdc-rate", "nan"}, "sdc-rate", "nan");
+}
+
+TEST(DckptScenarioOptions, SweepTrailingGarbageMtbfExits2) {
+  // Used to run at 3600.
+  expect_invalid_value({"sweep", "--mtbfs", "3600x"}, "mtbfs", "3600x");
+}
+
+TEST(DckptScenarioOptions, SweepNanMtbfExits2) {
+  expect_invalid_value({"sweep", "--mtbfs", "900,nan"}, "mtbfs", "900,nan");
+}
+
+TEST(DckptScenarioOptions, SweepNonNumericPhiRatioExits2) {
+  // Used to exit 1 with a bare "stod".
+  expect_invalid_value({"sweep", "--phi-ratios", "abc"}, "phi-ratios", "abc");
+}
+
+TEST(DckptScenarioOptions, SweepFractionalNodesExits2) {
+  expect_invalid_value({"sweep", "--nodes", "12.5"}, "nodes", "12.5");
+}
+
+TEST(DckptServeOptions, PortBeyond32BitsExits2) {
+  // Used to wrap to port 0 and serve on a random port.
+  expect_invalid_value({"serve", "--port", "4294967296"}, "port",
+                       "4294967296");
+}
+
+TEST(DckptServeOptions, PortAbove65535Exits2) {
+  expect_invalid_value({"serve", "--port", "65536"}, "port", "65536");
+}
+
+TEST(DckptServeOptions, ZeroReadTimeoutExits2) {
+  expect_invalid_value({"serve", "--read-timeout", "0"},
+                       "read-timeout", "0");
+}
+
+TEST(DckptServeOptions, WriteTimeoutBeyondIntExits2) {
+  expect_invalid_value({"serve", "--write-timeout", "2147483648"},
+                       "write-timeout", "2147483648");
+}
+
+// ------------------------------------------------------ usage errors
+
+TEST(DckptUsage, UnknownOptionExits2) {
+  const ToolRun run = run_dckpt({"simulate", "--bogus"}, std::chrono::seconds(1));
+  EXPECT_EQ(run.exit_code, 2) << run.err;
+  EXPECT_NE(run.err.find("unknown option --bogus"), std::string::npos)
+      << run.err;
+}
+
+TEST(DckptUsage, MissingValueExits2) {
+  const ToolRun run = run_dckpt({"chaos", "--steps"}, std::chrono::seconds(1));
+  EXPECT_EQ(run.exit_code, 2) << run.err;
+  EXPECT_NE(run.err.find("option --steps needs a value"), std::string::npos)
+      << run.err;
+}
+
+TEST(DckptUsage, HelpExits0) {
+  const ToolRun run = run_dckpt({"simulate", "--help"}, std::chrono::seconds(1));
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_TRUE(run.err.empty()) << run.err;
 }
 
 // ------------------------------------------------------ dckpt --help

@@ -177,6 +177,49 @@ TEST(EvalService, RejectsNonFiniteAndNonCastableNumerics) {
   }
 }
 
+TEST(EvalService, RejectsSentinelAndCountValuesTheTableRejects) {
+  sim::EvalService service;
+  // weibull-shape=-2 used to run exponential under a cache key of its own;
+  // nodes=12.5 used to be truncated to 12.
+  for (const char* line :
+       {"EVAL kind=sim protocol=Triple mtbf=900 nodes=12 tbase=4000 "
+        "weibull-shape=-2",
+        "EVAL kind=sim protocol=Triple mtbf=900 nodes=12.5 tbase=4000",
+        "EVAL kind=sim protocol=Triple mtbf=900 nodes=12 tbase=4000 "
+        "trials=20.0",
+        "EVAL kind=waste protocol=Triple mtbf=3600 weibull-shape=nan"}) {
+    const auto v = respond(service, line);
+    EXPECT_EQ(v.at("record").as_string(), "eval_error") << line;
+    EXPECT_EQ(v.at("code").as_string(), "parse") << line;
+  }
+}
+
+TEST(EvalService, CountsKeyTheCacheExactly) {
+  // %.6g folded seed=1000001 and seed=1000002 into one cache entry, so the
+  // second request replayed the first one's campaign.
+  sim::EvalService service;
+  const std::string line =
+      "EVAL kind=sim protocol=Triple mtbf=900 nodes=12 tbase=2000 trials=4 "
+      "seed=100000";
+  EXPECT_FALSE(respond(service, line + "1").at("cached").as_bool());
+  EXPECT_FALSE(respond(service, line + "2").at("cached").as_bool());
+  EXPECT_TRUE(respond(service, line + "1").at("cached").as_bool());
+}
+
+TEST(EvalService, LimitsSimulatedWork) {
+  sim::EvalService service;
+  // Each would keep the service busy for hours: a huge tbase, and a
+  // period at which the platform stalls.
+  for (const char* line :
+       {"EVAL kind=sim protocol=Triple mtbf=900 nodes=12 tbase=1e308",
+        "EVAL kind=sim protocol=Triple mtbf=900 nodes=12 tbase=4000 "
+        "period=1e9"}) {
+    const auto v = respond(service, line);
+    EXPECT_EQ(v.at("record").as_string(), "eval_error") << line;
+    EXPECT_EQ(v.at("code").as_string(), "limit") << line;
+  }
+}
+
 TEST(EvalService, ClassifiesRequestsForAdmissionControl) {
   sim::EvalServiceOptions options;
   options.default_trials = 20;
