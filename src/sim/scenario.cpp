@@ -213,7 +213,7 @@ std::array<bool, kAxisCount> axes_on(const ScenarioAxes& axes,
           axes.dcp.enabled()};
 }
 
-std::string axis_label(Axis axis, double weibull_shape) {
+std::string axis_label(std::size_t axis, double weibull_shape) {
   static constexpr std::array<const char*, kAxisCount> kLabels = {
       "weibull k=", "verified ckpt", "predictor", "dcp"};
   return axis == kWeibullAxis ? kLabels[axis] +

@@ -107,14 +107,15 @@ enum Axis : std::size_t {
 std::array<bool, kAxisCount> axes_on(const ScenarioAxes& axes,
                                      double weibull_shape);
 /// "weibull k=0.70", "verified ckpt", "predictor" or "dcp".
-std::string axis_label(Axis axis, double weibull_shape);
+std::string axis_label(std::size_t axis, double weibull_shape);
 
 struct ModelWaste {
   double base = 0.0;
   std::array<double, kAxisCount> axis{};  ///< == base where the axis is off
 };
 /// Model waste at config.period. Weibull takes the clustered-failure
-/// model at the expected-makespan horizon, comparable to a simulated run.
+/// model at the expected-makespan horizon: its startup-transient term
+/// depends on how long the mission runs, not on the fault-free work.
 ModelWaste model_waste(const SimConfig& config, double weibull_shape);
 
 struct ModelOptimum {

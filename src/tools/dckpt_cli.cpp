@@ -18,7 +18,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cinttypes>
 #include <csignal>
 
 #include <array>
@@ -52,10 +51,6 @@ constexpr std::initializer_list<KeyGroup> kAllGroups = {
     KeyGroup::kPlatform, KeyGroup::kRun, KeyGroup::kSdc,
     KeyGroup::kPredictor, KeyGroup::kDcp};
 
-model::Parameters platform_from(const util::CliParser& cli) {
-  return sim::scenario_from(cli).platform();
-}
-
 /// Splits a comma-separated list ("60,3600,86400"), dropping empty items.
 std::vector<std::string> split_list(const std::string& text) {
   std::vector<std::string> items;
@@ -86,7 +81,7 @@ int cmd_plan(int argc, const char* const* argv) {
   sim::add_scenario_options(cli, {KeyGroup::kPlatform});
   cli.add_option("mission-hours", "24", "mission length for risk/restarts");
   if (!cli.parse(argc, argv)) return 0;
-  const auto params = platform_from(cli);
+  const auto params = sim::scenario_from(cli).platform();
   const double mission = cli.get_double("mission-hours") * 3600.0;
 
   std::printf("Platform: %s\n\n", params.describe().c_str());
@@ -183,7 +178,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
     if (!on[axis]) continue;
     table.add_row({"model waste (" +
-                       sim::axis_label(static_cast<sim::Axis>(axis), shape) +
+                       sim::axis_label(axis, shape) +
                        ")",
                    util::format_percent(model_waste.axis[axis], 2)});
   }
@@ -343,7 +338,7 @@ int cmd_optimize(int argc, const char* const* argv) {
   for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
     if (!on[axis]) continue;
     table.add_row(
-        {"numeric (" + sim::axis_label(static_cast<sim::Axis>(axis), shape) +
+        {"numeric (" + sim::axis_label(axis, shape) +
              ")",
          util::format_duration(model_opt.axis[axis].period),
          util::format_percent(model_opt.axis[axis].waste, 3)});
@@ -431,7 +426,7 @@ int cmd_hierarchy(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   model::HierarchicalParams params;
-  params.level1 = platform_from(cli);
+  params.level1 = sim::scenario_from(cli).platform();
   params.global_ckpt = cli.get_double("global-ckpt");
   params.global_recovery = cli.get_double("global-recovery");
 
@@ -501,7 +496,7 @@ int cmd_spares(int argc, const char* const* argv) {
   cli.add_option("max-spares", "32", "largest pool size to tabulate");
   if (!cli.parse(argc, argv)) return 0;
 
-  const auto base = platform_from(cli);
+  const auto base = sim::scenario_from(cli).platform();
   const auto protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
   model::SparePoolSpec spec;
   spec.repair_time = cli.get_double("repair");
@@ -695,30 +690,47 @@ int cmd_chaos(int argc, const char* const* argv) {
                 std::string(chaos::outcome_name(run.outcome)).c_str(),
                 run.schedule.spec().c_str(),
                 run.detail.empty() ? "" : ": ", run.detail.c_str());
-    const auto& r = run.report;
-    std::printf("steps %" PRIu64 " (replayed %" PRIu64 "), checkpoints %" PRIu64
-                ", rollbacks %" PRIu64 ", recoveries %" PRIu64
-                ", rereplications %" PRIu64 ", risk steps %" PRIu64 "\n",
-                r.steps_executed, r.replayed_steps, r.checkpoints, r.rollbacks,
-                r.recoveries, r.rereplications, r.risk_steps);
-    std::printf("failovers %" PRIu64 ", transfer retries %" PRIu64
-                ", corrupt images detected %" PRIu64 ", degraded steps %" PRIu64
-                ", hash-verified recoveries %" PRIu64 "\n",
-                r.failovers, r.transfer_retries, r.corrupt_images_detected,
-                r.degraded_steps, r.hash_verified_recoveries);
-    std::printf("sdc injected %" PRIu64 ", verifications %" PRIu64
-                ", sdc detected %" PRIu64 ", rollback depth %" PRIu64 "\n",
-                r.sdc_injected, r.verifications_run, r.sdc_detected,
-                r.rollback_depth);
-    std::printf("alarms %" PRIu64 ", proactive ckpts %" PRIu64
-                ", true predictions %" PRIu64 ", missed failures %" PRIu64 "\n",
-                r.alarms_raised, r.proactive_ckpts, r.true_predictions,
-                r.missed_failures);
-    std::printf("delta commits %" PRIu64 ", full commits %" PRIu64
-                ", chain replays %" PRIu64 ", chain replay depth %" PRIu64
-                ", torn-chain failovers %" PRIu64 "\n",
-                r.delta_commits, r.full_commits, r.chain_replays,
-                r.chain_replay_depth, r.torn_chain_failovers);
+    std::printf("steps %llu (replayed %llu), checkpoints %llu, rollbacks "
+                "%llu, recoveries %llu, rereplications %llu, risk steps "
+                "%llu\n",
+                static_cast<unsigned long long>(run.report.steps_executed),
+                static_cast<unsigned long long>(run.report.replayed_steps),
+                static_cast<unsigned long long>(run.report.checkpoints),
+                static_cast<unsigned long long>(run.report.rollbacks),
+                static_cast<unsigned long long>(run.report.recoveries),
+                static_cast<unsigned long long>(run.report.rereplications),
+                static_cast<unsigned long long>(run.report.risk_steps));
+    std::printf("failovers %llu, transfer retries %llu, corrupt images "
+                "detected %llu, degraded steps %llu, hash-verified "
+                "recoveries %llu\n",
+                static_cast<unsigned long long>(run.report.failovers),
+                static_cast<unsigned long long>(run.report.transfer_retries),
+                static_cast<unsigned long long>(
+                    run.report.corrupt_images_detected),
+                static_cast<unsigned long long>(run.report.degraded_steps),
+                static_cast<unsigned long long>(
+                    run.report.hash_verified_recoveries));
+    std::printf("sdc injected %llu, verifications %llu, sdc detected %llu, "
+                "rollback depth %llu\n",
+                static_cast<unsigned long long>(run.report.sdc_injected),
+                static_cast<unsigned long long>(run.report.verifications_run),
+                static_cast<unsigned long long>(run.report.sdc_detected),
+                static_cast<unsigned long long>(run.report.rollback_depth));
+    std::printf("alarms %llu, proactive ckpts %llu, true predictions %llu, "
+                "missed failures %llu\n",
+                static_cast<unsigned long long>(run.report.alarms_raised),
+                static_cast<unsigned long long>(run.report.proactive_ckpts),
+                static_cast<unsigned long long>(run.report.true_predictions),
+                static_cast<unsigned long long>(run.report.missed_failures));
+    std::printf("delta commits %llu, full commits %llu, chain replays %llu, "
+                "chain replay depth %llu, torn-chain failovers %llu\n",
+                static_cast<unsigned long long>(run.report.delta_commits),
+                static_cast<unsigned long long>(run.report.full_commits),
+                static_cast<unsigned long long>(run.report.chain_replays),
+                static_cast<unsigned long long>(
+                    run.report.chain_replay_depth),
+                static_cast<unsigned long long>(
+                    run.report.torn_chain_failovers));
     return 0;
   }
 

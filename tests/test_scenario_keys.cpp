@@ -155,7 +155,7 @@ TEST(ScenarioTable, HostileValuesLeaveTypedValuesOrATypedError) {
   }
 }
 
-TEST(ScenarioTable, SweepAndSimulateShareTheWeibullLaw) {
+TEST(ScenarioTable, WeibullArrivalsMatchTheNodeMtbf) {
   const auto params = sim::ScenarioValues().platform();
   EXPECT_FALSE(sim::weibull_arrivals(0.0, params).has_value());
   const auto weibull = sim::weibull_arrivals(0.7, params);
