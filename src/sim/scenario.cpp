@@ -10,15 +10,40 @@ namespace dckpt::sim {
 
 namespace {
 
-template <auto Member>
-ScenarioField member(ScenarioValues& values) {
-  return &(values.*Member);
+template <typename Values, typename T>
+auto& at(Values& values, T ScenarioValues::*member) {
+  return values.*member;
 }
 
-template <auto Member>
-ScenarioField dcp_member(ScenarioValues& values) {
-  return &(values.dcp.*Member);
+template <typename Values, typename T>
+auto& at(Values& values, T model::DcpSpec::*member) {
+  return values.dcp.*member;
 }
+
+// One typed rule per field type; see the header.
+void assign(const ScenarioKey& key, std::string& target,
+            const std::string& text) {
+  if (key.accepts != nullptr && !key.accepts(text)) {
+    throw ScenarioValueError(text);
+  }
+  target = text;
+}
+
+void assign(const ScenarioKey& key, double& target, const std::string& text) {
+  const double value = parse_real(text);
+  if (key.sentinel && value < 0.0) throw ScenarioValueError(text);
+  target = value;
+}
+
+void assign(const ScenarioKey&, std::uint64_t& target,
+            const std::string& text) {
+  target = parse_count(text);
+}
+
+/// The serve cache key's spelling of each field type.
+std::string spelled(const std::string& text) { return text; }
+std::string spelled(double value) { return quantized(value); }
+std::string spelled(std::uint64_t value) { return std::to_string(value); }
 
 bool known_hardware(const std::string& text) {
   return text == "base" || text == "exa";
@@ -61,53 +86,49 @@ std::string quantized(double value) {
 const std::vector<ScenarioKey>& scenario_keys() {
   static const std::vector<ScenarioKey> keys = {
       {"scenario", G::kPlatform, "base", "base | exa hardware constants",
-       member<&V::scenario>, false, known_hardware},
-      {"mtbf", G::kPlatform, "25200", "platform MTBF, seconds",
-       member<&V::mtbf>},
+       &V::scenario, false, known_hardware},
+      {"mtbf", G::kPlatform, "25200", "platform MTBF, seconds", &V::mtbf},
       {"phi-ratio", G::kPlatform, "0.25", "overhead fraction phi/R in [0,1]",
-       member<&V::phi_ratio>},
+       &V::phi_ratio},
       {"nodes", G::kPlatform, "0", "override node count (0 = scenario default)",
-       member<&V::nodes>},
+       &V::nodes},
       {"protocol", G::kRun, "triple", "protocol to simulate",
-       member<&V::protocol>, false, known_protocol},
-      {"tbase", G::kRun, "100000", "application work, seconds",
-       member<&V::tbase>},
+       &V::protocol, false, known_protocol},
+      {"tbase", G::kRun, "100000", "application work, seconds", &V::tbase},
       {"period", G::kRun, "0", "checkpoint period (0 = model optimum)",
-       member<&V::period>, true},
-      {"seed", G::kRun, "42", "master seed", member<&V::seed>},
+       &V::period, true},
+      {"seed", G::kRun, "42", "master seed", &V::seed},
       {"weibull-shape", G::kRun, "0",
        "use per-node Weibull streams with this shape (0 = exp)",
-       member<&V::weibull_shape>, true},
+       &V::weibull_shape, true},
       {"sdc-rate", G::kSdc, "0",
-       "platform silent-error rate, strikes/s (0 = off)", member<&V::sdc_rate>},
+       "platform silent-error rate, strikes/s (0 = off)", &V::sdc_rate},
       {"verify-cost", G::kSdc, "0", "blocking verification time V, seconds",
-       member<&V::verify_cost>},
+       &V::verify_cost},
       {"verify-every", G::kSdc, "0",
        "periods between verifications k (0 = verification off)",
-       member<&V::verify_every>},
+       &V::verify_every},
       {"keep-last", G::kSdc, "1", "retained committed checkpoint sets l",
-       member<&V::keep_last>},
+       &V::keep_last},
       {"pred-recall", G::kPredictor, "0",
        "fault-predictor recall r in [0,1] (0 = predictor off)",
-       member<&V::pred_recall>},
+       &V::pred_recall},
       {"pred-precision", G::kPredictor, "1",
-       "fault-predictor precision p in (0,1]", member<&V::pred_precision>},
+       "fault-predictor precision p in (0,1]", &V::pred_precision},
       {"pred-window", G::kPredictor, "0",
        "prediction-window width w, seconds (0 = just-in-time)",
-       member<&V::pred_window>},
+       &V::pred_window},
       {"proactive-cost", G::kPredictor, "0",
-       "proactive checkpoint cost C_p, seconds", member<&V::proactive_cost>},
+       "proactive checkpoint cost C_p, seconds", &V::proactive_cost},
       {"dirty-fraction", G::kDcp, "1",
-       "per-page dirty fraction per period d in [0,1]",
-       dcp_member<&Dcp::dirty_fraction>},
+       "per-page dirty fraction per period d in [0,1]", &Dcp::dirty_fraction},
       {"dcp-block", G::kDcp, "4096", "differential block size B, bytes",
-       dcp_member<&Dcp::block_size>},
+       &Dcp::block_size},
       {"dcp-stack", G::kDcp, "0",
-       "commits per full exchange K (0 = every commit full)",
-       dcp_member<&Dcp::stack_size>},
+       "commits per full exchange K (0 = every commit full)", &Dcp::stack_size},
       {"hash-overhead", G::kDcp, "0",
        "content-hash scan cost h, fraction of a full image",
-       dcp_member<&Dcp::hash_overhead>},
+       &Dcp::hash_overhead},
   };
   return keys;
 }
@@ -120,27 +141,13 @@ const ScenarioKey* find_scenario_key(std::string_view name) {
 }
 
 void ScenarioKey::set(ScenarioValues& values, const std::string& text) const {
-  const ScenarioField target = field(values);
-  if (auto* const* value = std::get_if<std::string*>(&target)) {
-    if (accepts != nullptr && !accepts(text)) throw ScenarioValueError(text);
-    **value = text;
-  } else if (auto* const* real = std::get_if<double*>(&target)) {
-    const double parsed = parse_real(text);
-    if (sentinel && parsed < 0.0) throw ScenarioValueError(text);
-    **real = parsed;
-  } else {
-    *std::get<std::uint64_t*>(target) = parse_count(text);
-  }
+  std::visit([&](auto member) { assign(*this, at(values, member), text); },
+             field);
 }
 
 std::string ScenarioKey::canonical(const ScenarioValues& values) const {
-  // The accessor hands out writable pointers; this only reads through it.
-  const ScenarioField target = field(const_cast<ScenarioValues&>(values));
-  if (auto* const* value = std::get_if<std::string*>(&target)) return **value;
-  if (auto* const* real = std::get_if<double*>(&target)) {
-    return quantized(**real);
-  }
-  return std::to_string(*std::get<std::uint64_t*>(target));
+  return std::visit([&](auto member) { return spelled(at(values, member)); },
+                    field);
 }
 
 ScenarioValues::ScenarioValues() {
@@ -156,17 +163,14 @@ model::Parameters ScenarioValues::platform() const {
   return params;
 }
 
-model::Parameters ScenarioValues::sim_platform() const {
-  auto params = platform();
-  if (params.nodes > kMaxSimNodes) params.nodes = 99996;  // divisible by 2, 3
-  return params;
-}
-
 SimConfig ScenarioValues::sim_config() const {
   SimConfig config;
   static_cast<ScenarioAxes&>(config) = *this;
   config.protocol = model::parse_protocol_name(protocol);
-  config.params = sim_platform();
+  config.params = platform();
+  if (config.params.nodes > kMaxSimNodes) {
+    config.params.nodes = 99996;  // divisible by 2 and 3
+  }
   config.t_base = tbase;
   config.stop_on_fatal = false;
   config.period =

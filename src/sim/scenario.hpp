@@ -61,21 +61,23 @@ struct ScenarioValues : ScenarioAxes {
 
   ScenarioValues();
   model::Parameters platform() const;  ///< validated
-  /// platform(), with more than kMaxSimNodes nodes capped.
-  model::Parameters sim_platform() const;
-  /// The Monte-Carlo config on sim_platform(); fatal failures do not
-  /// stop a run.
+  /// The Monte-Carlo config on platform(), with more than kMaxSimNodes
+  /// nodes capped; fatal failures do not stop a run.
   SimConfig sim_config() const;
 };
 
-using ScenarioField = std::variant<std::string*, double*, std::uint64_t*>;
+/// The field a key sets: a member of ScenarioValues or of its dcp spec.
+using ScenarioField =
+    std::variant<std::string ScenarioValues::*, double ScenarioValues::*,
+                 std::uint64_t ScenarioValues::*, double model::DcpSpec::*,
+                 std::uint64_t model::DcpSpec::*>;
 
 struct ScenarioKey {
   const char* name;
   KeyGroup group;
   const char* default_value;
   const char* help;
-  ScenarioField (*field)(ScenarioValues&);
+  ScenarioField field;
   bool sentinel = false;  ///< a real field under the sentinel rule
   bool (*accepts)(const std::string&) = nullptr;  ///< text spellings
 

@@ -1,5 +1,6 @@
 #include "sim/service.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 
 #include "model/model_api.hpp"
 #include "sim/batch_kernel.hpp"
+#include "sim/engine_geometry.hpp"
 #include "sim/scenario.hpp"
 
 namespace dckpt::sim {
@@ -21,10 +23,11 @@ constexpr double kLatencyLogHi = 7.0;
 constexpr std::size_t kLatencyBins = 140;
 
 /// Most simulated events (periods plus failures) one kind=sim request may
-/// cost, as the model estimates them: trials x E[makespan] x (1/P + 1/M).
-/// Any platform within the default trial cap stays below it; a huge tbase
-/// or a stalled platform (infinite makespan) answers code=limit instead of
-/// occupying the service for hours.
+/// cost: trials x makespan x (1/P + 1/M), the makespan being the model's
+/// expectation bounded by the engine's livelock cap (a trial that stalls
+/// stops there and counts as diverged). A huge tbase, or a period at which
+/// a trial runs to a huge cap, answers code=limit instead of occupying the
+/// service for hours.
 constexpr double kMaxSimEvents = 1e9;
 
 /// One EVAL line: serve's own keys beside the table's platform and run
@@ -245,11 +248,13 @@ util::JsonValue EvalService::handle_eval(const std::string& line) {
       throw EvalError("limit", "trials exceeds the service limit");
     }
     config.validate();
-    const double events =
-        static_cast<double>(trials) *
+    const double makespan = std::min(
         model::expected_makespan(protocol, params, config.period,
-                                 config.t_base) *
-        (1.0 / config.period + 1.0 / params.mtbf);
+                                 config.t_base),
+        engine::makespan_cap(config.max_makespan, config.t_base,
+                             config.period));
+    const double events = static_cast<double>(trials) * makespan *
+                          (1.0 / config.period + 1.0 / params.mtbf);
     if (!(events <= kMaxSimEvents)) {
       throw EvalError("limit", "simulated work exceeds the service limit "
                                "(lower tbase or trials)");

@@ -177,9 +177,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   table.add_row({"model waste", util::format_percent(model_waste.base, 2)});
   for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
     if (!on[axis]) continue;
-    table.add_row({"model waste (" +
-                       sim::axis_label(axis, shape) +
-                       ")",
+    table.add_row({"model waste (" + sim::axis_label(axis, shape) + ")",
                    util::format_percent(model_waste.axis[axis], 2)});
   }
   table.add_row({"sim waste",
@@ -248,7 +246,10 @@ int cmd_sweep(int argc, const char* const* argv) {
   }
   spec.mtbfs = parse_double_list(cli, "mtbfs");
   spec.phi_ratios = parse_double_list(cli, "phi-ratios");
-  spec.base = scenario.sim_platform();
+  spec.base = scenario.platform();
+  if (scenario.nodes == 0 && spec.base.nodes > sim::kMaxSimNodes) {
+    spec.base.nodes = 99996;  // keep per-node bookkeeping tractable
+  }
   spec.t_base_in_mtbfs = cli.get_double("tbase-mtbfs");
   spec.trials = cli.get_count("trials");
   spec.seed = scenario.seed;
@@ -314,8 +315,9 @@ int cmd_optimize(int argc, const char* const* argv) {
   util::CliParser cli("dckpt optimize",
                       "find the empirically optimal period by simulation");
   // The period is what this command searches for; the seed is fixed by
-  // common random numbers.
-  sim::add_scenario_options(cli, kAllGroups, {"period", "seed"});
+  // common random numbers; protocol and tbase keep optimize's defaults.
+  sim::add_scenario_options(cli, kAllGroups,
+                            {"period", "seed", "protocol", "tbase"});
   cli.add_option("protocol", "doublenbl", "protocol to optimize");
   cli.add_option("tbase", "50000", "application work per trial, seconds");
   cli.add_option("trials", "40", "trials per candidate period");
@@ -337,11 +339,9 @@ int cmd_optimize(int argc, const char* const* argv) {
   const auto on = sim::axes_on(config, shape);
   for (std::size_t axis = 0; axis < sim::kAxisCount; ++axis) {
     if (!on[axis]) continue;
-    table.add_row(
-        {"numeric (" + sim::axis_label(axis, shape) +
-             ")",
-         util::format_duration(model_opt.axis[axis].period),
-         util::format_percent(model_opt.axis[axis].waste, 3)});
+    table.add_row({"numeric (" + sim::axis_label(axis, shape) + ")",
+                   util::format_duration(model_opt.axis[axis].period),
+                   util::format_percent(model_opt.axis[axis].waste, 3)});
   }
   table.add_row({"empirical (simulation)",
                  util::format_duration(empirical.period),

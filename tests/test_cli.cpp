@@ -353,6 +353,30 @@ TEST(DckptServeOptions, WriteTimeoutBeyondIntExits2) {
                        "write-timeout", "2147483648");
 }
 
+// ---------------------------------------------------- sweep node count
+
+/// One small Weibull sweep point on the exa platform (10^6 nodes by
+/// default); per-node arrival streams make the rows depend on the count.
+std::string exa_sweep(std::vector<std::string> extra) {
+  std::vector<std::string> args = {
+      "sweep",         "--scenario",     "exa",  "--protocols",
+      "triple",        "--mtbfs",        "3600", "--phi-ratios",
+      "0.25",          "--trials",       "3",    "--tbase-mtbfs",
+      "2",             "--weibull-shape", "0.7"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  const ToolRun run = run_dckpt(std::move(args), std::chrono::seconds(5));
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  return run.out;
+}
+
+TEST(DckptSweep, CapsOnlyTheScenarioDefaultNodeCount) {
+  // The exa default is capped for per-node bookkeeping; an explicit
+  // --nodes runs as given, since the rows never show the count.
+  const std::string capped = exa_sweep({"--nodes", "99996"});
+  EXPECT_EQ(exa_sweep({}), capped);
+  EXPECT_NE(exa_sweep({"--nodes", "199998"}), capped);
+}
+
 // ------------------------------------------------------ usage errors
 
 TEST(DckptUsage, UnknownOptionExits2) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "proptest.hpp"
@@ -35,6 +36,20 @@ bool rejects(const sim::ScenarioKey& key, const std::string& text) {
   } catch (const sim::ScenarioValueError&) {
     return true;
   }
+}
+
+/// The value `key` set in `values` if its field holds a T, read through
+/// the key's member pointer.
+template <typename T>
+std::optional<T> held(const sim::ScenarioKey& key,
+                      const sim::ScenarioValues& values) {
+  if (const auto* member = std::get_if<T sim::ScenarioValues::*>(&key.field)) {
+    return values.**member;
+  }
+  if (const auto* member = std::get_if<T model::DcpSpec::*>(&key.field)) {
+    return values.dcp.**member;
+  }
+  return std::nullopt;
 }
 
 const sim::ScenarioKey& key_named(const std::string& name) {
@@ -142,14 +157,13 @@ TEST(ScenarioTable, HostileValuesLeaveTypedValuesOrATypedError) {
       } catch (const sim::ScenarioValueError&) {
         continue;
       }
-      const sim::ScenarioField field = key.field(values);
-      if (const auto* real = std::get_if<double*>(&field)) {
-        EXPECT_TRUE(std::isfinite(**real)) << key.name << "=" << text;
+      if (const auto real = held<double>(key, values)) {
+        EXPECT_TRUE(std::isfinite(*real)) << key.name << "=" << text;
         if (key.sentinel) {
-          EXPECT_GE(**real, 0.0) << key.name << "=" << text;
+          EXPECT_GE(*real, 0.0) << key.name << "=" << text;
         }
-      } else if (const auto* count = std::get_if<std::uint64_t*>(&field)) {
-        EXPECT_LE(**count, 9007199254740992ULL) << key.name << "=" << text;
+      } else if (const auto count = held<std::uint64_t>(key, values)) {
+        EXPECT_LE(*count, 9007199254740992ULL) << key.name << "=" << text;
       }
     }
   }
@@ -222,7 +236,7 @@ TEST(ScenarioTable, HostileEvalLinesGetTypedReplies) {
         if (gen.boolean()) line += " nodes=12 tbase=2000";
         const std::uint64_t pairs = gen.integer(1, 3);
         for (std::uint64_t i = 0; i < pairs; ++i) {
-          line += " " + gen.element(keys) + "=" + gen.element(values);
+          line += ' ' + gen.element(keys) + '=' + gen.element(values);
         }
         return line;
       },

@@ -220,6 +220,18 @@ TEST(EvalService, LimitsSimulatedWork) {
   }
 }
 
+TEST(EvalService, AnswersStalledRunsTheEngineBounds) {
+  // The model stalls at this period (its expected makespan is infinite),
+  // but each trial stops at the engine's livelock cap: a small request
+  // still answers, reporting the stalled trials as diverged.
+  sim::EvalService service;
+  const auto v = respond(service,
+                         "EVAL kind=sim protocol=Triple mtbf=2 nodes=12 "
+                         "tbase=100 period=100 trials=2");
+  EXPECT_EQ(v.at("record").as_string(), "eval");
+  EXPECT_GT(v.at("diverged").as_number(), 0.0);
+}
+
 TEST(EvalService, ClassifiesRequestsForAdmissionControl) {
   sim::EvalServiceOptions options;
   options.default_trials = 20;
