@@ -5,10 +5,13 @@
 //   m = (1/K)(1 + h) + (1 - 1/K)(d_b + h)
 // of model/dcp.hpp. At small d the reduction approaches d + h per commit
 // (plus the 1/K full-image amortization), which is the dcpScalable result
-// the model encodes.
+// the model encodes. It then measures h itself: the time to hash one full
+// image over the time to copy it, the input to the model's --hash-overhead.
 #include "bench_common.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <numeric>
 
 #include "ckpt/dcp.hpp"
@@ -122,5 +125,56 @@ int main(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
   if (csv) std::printf("[csv] wrote %s\n", csv->path().c_str());
   if (jsonl) std::printf("[jsonl] wrote %s\n", jsonl->path().c_str());
+
+  // Measured h on the same 1 MiB image: hashing a fresh snapshot (its page
+  // hashes and the image hash derived from them) over copying every page
+  // into one flat, already-faulted buffer -- the bytes a full exchange
+  // moves. Each sample times a batch of calls; both figures are medians.
+  constexpr int kSamples = 31;
+  constexpr int kCallsPerSample = 16;
+  const auto median_seconds = [](const auto& call) {
+    std::vector<double> samples;
+    for (int i = 0; i < kSamples; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int k = 0; k < kCallsPerSample; ++k) call();
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - start;
+      samples.push_back(elapsed.count() / kCallsPerSample);
+    }
+    std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
+                     samples.end());
+    return samples[kSamples / 2];
+  };
+  ckpt::PageStore image_store(kStateBytes, kPage);
+  util::Xoshiro256ss rng(0x4a5);
+  std::vector<std::byte> content(kStateBytes);
+  for (auto& byte : content) byte = static_cast<std::byte>(rng());
+  image_store.write(0, content);
+  std::vector<std::byte> flat(kStateBytes, std::byte{1});
+  volatile std::uint64_t sink = 0;  // keeps the timed calls observable
+  const double hash_s = median_seconds(
+      [&] { sink = sink + image_store.snapshot(0).content_hash(); });
+  const ckpt::Snapshot image = image_store.snapshot(0);
+  const double copy_s = median_seconds([&] {
+    std::size_t offset = 0;
+    for (const auto& page : image.pages()) {
+      std::memcpy(flat.data() + offset, page->data(), page->size());
+      offset += page->size();
+    }
+    sink = sink + static_cast<std::uint64_t>(flat[offset - 1]);
+  });
+  const double gb = static_cast<double>(kStateBytes) * 1e-9;
+  const double measured_h = hash_s / copy_s;
+  std::printf(
+      "\nhash overhead h (1 MiB image, 4 KiB pages, medians of %d samples):\n"
+      "  hash %.2f GB/s, copy %.2f GB/s, measured h = %.3f "
+      "(the model rows above use --hash-overhead 0)\n",
+      kSamples, gb / hash_s, gb / copy_s, measured_h);
+  auto hash_jsonl = context->jsonl(
+      "ext_dcp_hash", {"hash_gbps", "copy_gbps", "measured_h"});
+  if (hash_jsonl) {
+    hash_jsonl->row({gb / hash_s, gb / copy_s, measured_h});
+    std::printf("[jsonl] wrote %s\n", hash_jsonl->path().c_str());
+  }
   return 0;
 }

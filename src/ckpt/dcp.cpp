@@ -23,6 +23,82 @@ std::size_t block_count(std::size_t size_bytes, std::size_t block_size) {
   return size_bytes == 0 ? 0 : (size_bytes + block_size - 1) / block_size;
 }
 
+/// True when every block of `image` is exactly one page's meaningful
+/// bytes, so the block hashes are the image's cached page hashes.
+bool pages_are_blocks(const Snapshot& image, std::size_t block_size) {
+  if (image.page_count() != block_count(image.size_bytes(), block_size)) {
+    return false;
+  }
+  std::size_t remaining = image.size_bytes();
+  for (const Snapshot::Page& page : image.pages()) {
+    const std::size_t want = std::min(block_size, remaining);
+    if (std::min(page->size(), remaining) != want) return false;
+    remaining -= want;
+  }
+  return true;
+}
+
+/// Walks an image's meaningful bytes block by block, straight from its
+/// page spans: a block inside one page is a view of that page; only a
+/// block straddling a page boundary is gathered into a scratch buffer.
+class BlockReader {
+ public:
+  explicit BlockReader(const Snapshot& image)
+      : pages_(image.pages()), remaining_(image.size_bytes()) {}
+
+  /// The next `len` bytes (len <= the bytes left).
+  std::span<const std::byte> next(std::size_t len) {
+    if (len <= in_this_page()) {
+      const std::span<const std::byte> view(pages_[page_]->data() + in_page_,
+                                            len);
+      advance(len);
+      return view;
+    }
+    scratch_.resize(len);
+    for (std::size_t done = 0; done < len;) {
+      const std::size_t take = std::min(len - done, in_this_page());
+      std::memcpy(scratch_.data() + done, pages_[page_]->data() + in_page_,
+                  take);
+      advance(take);
+      done += take;
+    }
+    return {scratch_.data(), len};
+  }
+
+  /// Skips the next `len` bytes without reading them.
+  void skip(std::size_t len) {
+    while (len > 0) {
+      const std::size_t take = std::min(len, in_this_page());
+      advance(take);
+      len -= take;
+    }
+  }
+
+ private:
+  /// Unread bytes of the current page, moving past exhausted pages first.
+  std::size_t in_this_page() {
+    while (page_ < pages_.size() && in_page_ == pages_[page_]->size()) {
+      ++page_;
+      in_page_ = 0;
+    }
+    if (page_ == pages_.size()) {
+      throw std::invalid_argument("dcp: image pages end before size_bytes");
+    }
+    return std::min(pages_[page_]->size() - in_page_, remaining_);
+  }
+
+  void advance(std::size_t len) {
+    in_page_ += len;
+    remaining_ -= len;
+  }
+
+  const std::vector<Snapshot::Page>& pages_;
+  std::size_t remaining_;
+  std::size_t page_ = 0;
+  std::size_t in_page_ = 0;
+  std::vector<std::byte> scratch_;
+};
+
 }  // namespace
 
 BlockDelta::BlockDelta(std::uint64_t owner, std::uint64_t base_version,
@@ -82,19 +158,19 @@ std::vector<std::uint64_t> block_hashes(const Snapshot& image,
   if (block_size == 0) {
     throw std::invalid_argument("block_hashes: block_size must be > 0");
   }
-  const std::vector<std::byte> bytes = image.to_bytes();
-  const std::size_t count = block_count(bytes.size(), block_size);
+  if (pages_are_blocks(image, block_size)) return image.page_hashes();
+  const std::size_t size = image.size_bytes();
   std::vector<std::uint64_t> hashes;
-  hashes.reserve(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    const std::size_t offset = b * block_size;
-    const std::size_t len = std::min(block_size, bytes.size() - offset);
-    hashes.push_back(fnv1a({bytes.data() + offset, len}));
+  hashes.reserve(block_count(size, block_size));
+  BlockReader reader(image);
+  for (std::size_t offset = 0; offset < size; offset += block_size) {
+    hashes.push_back(xxh64(reader.next(std::min(block_size, size - offset))));
   }
   return hashes;
 }
 
 BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
+                            const std::vector<std::uint64_t>& current_hashes,
                             std::uint64_t base_version,
                             std::uint64_t base_hash, const Snapshot& current,
                             std::size_t block_size) {
@@ -107,27 +183,38 @@ BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
         std::to_string(base_version) + ", current v" +
         std::to_string(current.version()) + ")");
   }
-  const std::vector<std::byte> bytes = current.to_bytes();
-  const std::size_t count = block_count(bytes.size(), block_size);
-  if (base_hashes.size() != count) {
-    throw std::invalid_argument(
-        "make_block_delta: base hash array has " +
-        std::to_string(base_hashes.size()) + " entries, want " +
-        std::to_string(count));
+  const std::size_t size = current.size_bytes();
+  const std::size_t count = block_count(size, block_size);
+  for (const auto* hashes : {&base_hashes, &current_hashes}) {
+    if (hashes->size() != count) {
+      throw std::invalid_argument(
+          "make_block_delta: hash array has " +
+          std::to_string(hashes->size()) + " entries, want " +
+          std::to_string(count));
+    }
   }
   std::vector<DcpBlock> blocks;
+  BlockReader reader(current);
   for (std::size_t b = 0; b < count; ++b) {
-    const std::size_t offset = b * block_size;
-    const std::size_t len = std::min(block_size, bytes.size() - offset);
-    if (fnv1a({bytes.data() + offset, len}) == base_hashes[b]) continue;
-    blocks.push_back({b, std::vector<std::byte>(
-                             bytes.begin() + static_cast<std::ptrdiff_t>(offset),
-                             bytes.begin() +
-                                 static_cast<std::ptrdiff_t>(offset + len))});
+    const std::size_t len = std::min(block_size, size - b * block_size);
+    if (current_hashes[b] == base_hashes[b]) {
+      reader.skip(len);
+      continue;
+    }
+    const auto bytes = reader.next(len);
+    blocks.push_back({b, std::vector<std::byte>(bytes.begin(), bytes.end())});
   }
-  return BlockDelta(current.owner(), base_version, current.version(),
-                    bytes.size(), block_size, base_hash,
-                    current.content_hash(), std::move(blocks));
+  return BlockDelta(current.owner(), base_version, current.version(), size,
+                    block_size, base_hash, current.content_hash(),
+                    std::move(blocks));
+}
+
+BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
+                            std::uint64_t base_version,
+                            std::uint64_t base_hash, const Snapshot& current,
+                            std::size_t block_size) {
+  return make_block_delta(base_hashes, block_hashes(current, block_size),
+                          base_version, base_hash, current, block_size);
 }
 
 BlockDelta make_block_delta(const Snapshot& base,

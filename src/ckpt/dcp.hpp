@@ -2,12 +2,15 @@
 //
 // A full checkpoint moves the whole image; a differential checkpoint moves
 // only the blocks whose content changed since the last commit. Dirty blocks
-// are detected by comparing per-block FNV-1a hashes against the hash array
+// are detected by comparing per-block xxh64 hashes against the hash array
 // recorded at the previous commit -- no caller-supplied dirty set and no
 // dependence on COW pointer identity, so a page rewritten with identical
 // bytes does *not* count as dirty (unlike delta.hpp's mprotect-style
 // tracking). The block size is independent of the page size: coarser blocks
-// cut hash-array memory at the cost of amplifying small writes.
+// cut hash-array memory at the cost of amplifying small writes. With blocks
+// of one page the block hashes are the image's cached page hashes, so a
+// commit hashes each page once for its image hash, its hash array and its
+// diff together.
 //
 // Restores replay a chain: one full base image plus up to K - 1 differential
 // layers, where K is the dcp stack size (a full checkpoint every K commits
@@ -88,8 +91,11 @@ class BlockDelta {
   std::uint64_t stored_self_hash_ = 0;
 };
 
-/// Per-block FNV-1a hash array of `image` (the dcpScalable hashArray): one
+/// Per-block xxh64 hash array of `image` (the dcpScalable hashArray): one
 /// hash per block_size-sized block, tail block over the remaining bytes.
+/// When every block is one page this is image.page_hashes() (cached);
+/// otherwise each block is hashed from the page spans, and only a block
+/// straddling a page boundary is copied, into one block-sized buffer.
 /// Throws std::invalid_argument when block_size == 0.
 std::vector<std::uint64_t> block_hashes(const Snapshot& image,
                                         std::size_t block_size);
@@ -97,8 +103,17 @@ std::vector<std::uint64_t> block_hashes(const Snapshot& image,
 /// Diffs `current` against a base known only by its cached hash array --
 /// the coordinator commit path, where the previous image itself is gone but
 /// its block_hashes(), version and content hash were recorded at commit
-/// time. `base_version` must predate current.version() and `base_hashes`
-/// must cover current's layout exactly.
+/// time. `current_hashes` must be block_hashes(current, block_size): the
+/// caller keeps it as the next commit's base array. `base_version` must
+/// predate current.version() and both arrays must cover current's layout
+/// exactly. Only the dirty blocks' bytes are copied.
+BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
+                            const std::vector<std::uint64_t>& current_hashes,
+                            std::uint64_t base_version,
+                            std::uint64_t base_hash, const Snapshot& current,
+                            std::size_t block_size);
+
+/// As above, computing block_hashes(current, block_size) itself.
 BlockDelta make_block_delta(const std::vector<std::uint64_t>& base_hashes,
                             std::uint64_t base_version,
                             std::uint64_t base_hash, const Snapshot& current,

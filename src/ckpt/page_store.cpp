@@ -1,6 +1,7 @@
 #include "ckpt/page_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -15,6 +16,75 @@ std::uint64_t fnv1a(std::span<const std::byte> data, std::uint64_t seed) {
   return hash;
 }
 
+namespace {
+
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
+
+template <typename Word>
+Word load_le(const std::byte* p) {
+  Word word = 0;
+  std::memcpy(&word, p, sizeof word);  // no alignment assumption
+  if constexpr (std::endian::native == std::endian::big) {
+    Word swapped = 0;
+    for (std::size_t i = 0; i < sizeof word; ++i) {
+      swapped = static_cast<Word>((swapped << 8) | ((word >> (8 * i)) & 0xffU));
+    }
+    word = swapped;
+  }
+  return word;
+}
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t input) {
+  return std::rotl(acc + input * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t merge_lane(std::uint64_t hash, std::uint64_t lane) {
+  return (hash ^ lane_round(0, lane)) * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
+std::uint64_t xxh64(std::span<const std::byte> data, std::uint64_t seed) {
+  const std::byte* p = data.data();
+  const std::byte* const end = p + data.size();
+  std::uint64_t hash = seed + kPrime5;
+  if (data.size() >= 32) {
+    std::uint64_t lanes[4] = {seed + kPrime1 + kPrime2, seed + kPrime2, seed,
+                              seed - kPrime1};
+    for (; end - p >= 32; p += 32) {
+      for (int i = 0; i < 4; ++i) {
+        lanes[i] = lane_round(lanes[i], load_le<std::uint64_t>(p + 8 * i));
+      }
+    }
+    hash = std::rotl(lanes[0], 1) + std::rotl(lanes[1], 7) +
+           std::rotl(lanes[2], 12) + std::rotl(lanes[3], 18);
+    for (const std::uint64_t lane : lanes) hash = merge_lane(hash, lane);
+  }
+  hash += data.size();
+  for (; end - p >= 8; p += 8) {
+    hash ^= lane_round(0, load_le<std::uint64_t>(p));
+    hash = std::rotl(hash, 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    hash ^= load_le<std::uint32_t>(p) * kPrime1;
+    hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    hash ^= static_cast<std::uint64_t>(*p) * kPrime5;
+    hash = std::rotl(hash, 11) * kPrime1;
+  }
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  return hash ^ (hash >> 32);
+}
+
 // ------------------------------------------------------------------ Snapshot
 
 Snapshot::Snapshot(std::vector<Page> pages, std::size_t size_bytes,
@@ -22,20 +92,28 @@ Snapshot::Snapshot(std::vector<Page> pages, std::size_t size_bytes,
     : pages_(std::move(pages)), size_bytes_(size_bytes), version_(version),
       owner_(owner) {}
 
-std::uint64_t Snapshot::content_hash() const {
-  if (!hash_valid_) {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+const Snapshot::Digest& Snapshot::digest() const {
+  if (!digest_) {
+    auto digest = std::make_shared<Digest>();
+    digest->page_hashes.reserve(pages_.size());
     std::size_t remaining = size_bytes_;
     for (const auto& page : pages_) {
       const std::size_t take = std::min(remaining, page->size());
-      hash = fnv1a(std::span(page->data(), take), hash);
+      digest->page_hashes.push_back(xxh64({page->data(), take}));
       remaining -= take;
     }
-    cached_hash_ = hash;
-    hash_valid_ = true;
+    digest->content_hash =
+        xxh64(std::as_bytes(std::span(digest->page_hashes)), size_bytes_);
+    digest_ = std::move(digest);
   }
-  return cached_hash_;
+  return *digest_;
 }
+
+const std::vector<std::uint64_t>& Snapshot::page_hashes() const {
+  return digest().page_hashes;
+}
+
+std::uint64_t Snapshot::content_hash() const { return digest().content_hash; }
 
 std::vector<std::byte> Snapshot::to_bytes() const {
   std::vector<std::byte> out;

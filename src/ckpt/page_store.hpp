@@ -37,12 +37,20 @@ class Snapshot {
   std::uint64_t owner() const noexcept { return owner_; }
   bool empty() const noexcept { return pages_.empty(); }
 
-  /// FNV-1a over the content; cached after the first call.
+  /// One xxh64 per page over its meaningful bytes (the tail page may be
+  /// allocated larger than the image's last bytes). Computed in one pass on
+  /// the first call and cached; copies made after that share the cache.
+  const std::vector<std::uint64_t>& page_hashes() const;
+
+  /// The image hash: xxh64 over page_hashes(), seeded with size_bytes(), so
+  /// it costs no second pass over the bytes. Cached like page_hashes(). It
+  /// depends on the page layout as well as the bytes, which is all the
+  /// restore paths need: they compare images of one layout.
   std::uint64_t content_hash() const;
 
   /// Integrity check at a restore point: does the content still hash to
   /// what the producer recorded at snapshot time? A torn (prefix-only)
-  /// image fails this too -- the hash runs over fewer meaningful bytes.
+  /// image fails this too (see torn_copy).
   bool verify(std::uint64_t expected_hash) const {
     return content_hash() == expected_hash;
   }
@@ -57,8 +65,15 @@ class Snapshot {
   std::size_t size_bytes_ = 0;
   std::uint64_t version_ = 0;
   std::uint64_t owner_ = 0;
-  mutable std::uint64_t cached_hash_ = 0;
-  mutable bool hash_valid_ = false;
+
+  struct Digest {
+    std::vector<std::uint64_t> page_hashes;
+    std::uint64_t content_hash = 0;
+  };
+  const Digest& digest() const;
+  /// Shared, not copied: a staged or committed copy of a hashed image
+  /// reuses its digest instead of holding an array of its own.
+  mutable std::shared_ptr<const Digest> digest_;
 };
 
 class PageStore {
@@ -103,13 +118,20 @@ class PageStore {
   std::uint64_t version_ = 0;
 };
 
-/// FNV-1a 64-bit over a byte range (exposed for tests and recovery checks).
+/// FNV-1a 64-bit over a byte range: byte-serial, kept for the reported
+/// state identity (RunReport::final_hash) and the dcp layers' self hash.
 std::uint64_t fnv1a(std::span<const std::byte> data,
                     std::uint64_t seed = 0xcbf29ce484222325ULL);
 
+/// XXH64 over a byte range: four 8-byte lanes per 32-byte stripe, an
+/// avalanche finish, several GB/s. Words are read little-endian through
+/// memcpy, so any alignment is fine and the value is the same everywhere.
+/// The page, block and image hashes all use it.
+std::uint64_t xxh64(std::span<const std::byte> data, std::uint64_t seed = 0);
+
 /// Fault-injection helpers (chaos harness): both return a *fresh* Snapshot
-/// with its own pages and an unset hash cache, so verify() recomputes over
-/// the damaged content instead of trusting the original's cached value.
+/// with its own pages and no digest, so verify() recomputes over the
+/// damaged content instead of trusting the original's cached value.
 ///
 /// corrupt_copy flips one byte of the first page -- a silent bit-flip in a
 /// stored replica. torn_copy models a transfer that delivered only a

@@ -322,15 +322,16 @@ void ProtocolDriver::commit_delta_checkpoint(RunReport& report,
   const auto remote = static_cast<std::uint64_t>(groups_.group_size() - 1);
   for (std::uint64_t node = 0; node < n; ++node) {
     const ckpt::Snapshot& image = images[node];
+    auto hashes = ckpt::block_hashes(image, config_.dcp_block_size);
     const ckpt::BlockDelta layer = ckpt::make_block_delta(
-        hash_arrays_[node], dcp_tip_version_, committed_hashes_[node], image,
-        config_.dcp_block_size);
+        hash_arrays_[node], hashes, dcp_tip_version_, committed_hashes_[node],
+        image, config_.dcp_block_size);
     for (const std::uint64_t holder : replica_holders(groups_, node)) {
       nodes_.store(holder).append_delta(layer);
     }
     report.bytes_replicated += remote * layer.delta_bytes();
     committed_hashes_[node] = image.content_hash();
-    hash_arrays_[node] = ckpt::block_hashes(image, config_.dcp_block_size);
+    hash_arrays_[node] = std::move(hashes);
   }
   committed_step_ = step;
   dcp_tip_version_ = images.front().version();

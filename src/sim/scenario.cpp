@@ -1,6 +1,7 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 
 #include "model/model_api.hpp"
@@ -23,7 +24,7 @@ auto& at(Values& values, T model::DcpSpec::*member) {
 // One typed rule per field type; see the header.
 void assign(const ScenarioKey& key, std::string& target,
             const std::string& text) {
-  if (key.accepts != nullptr && !key.accepts(text)) {
+  if (key.spelling != nullptr && !key.spelling(text)) {
     throw ScenarioValueError(text);
   }
   target = text;
@@ -41,21 +42,30 @@ void assign(const ScenarioKey&, std::uint64_t& target,
 }
 
 /// The serve cache key's spelling of each field type.
-std::string spelled(const std::string& text) { return text; }
-std::string spelled(double value) { return quantized(value); }
-std::string spelled(std::uint64_t value) { return std::to_string(value); }
-
-bool known_hardware(const std::string& text) {
-  return text == "base" || text == "exa";
+std::string spelled(const ScenarioKey& key, const std::string& text) {
+  return key.spelling != nullptr ? key.spelling(text).value_or(text) : text;
+}
+std::string spelled(const ScenarioKey&, double value) {
+  return quantized(value);
+}
+std::string spelled(const ScenarioKey&, std::uint64_t value) {
+  return std::to_string(value);
 }
 
-bool known_protocol(const std::string& text) {
-  try {
-    (void)model::parse_protocol_name(text);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
+std::optional<std::string> hardware_spelling(const std::string& text) {
+  if (text == "base" || text == "exa") return text;
+  return std::nullopt;
+}
+
+/// Protocol names are case-insensitive; the lower-case name is the one
+/// spelling (it is also how the table writes the default).
+std::optional<std::string> protocol_spelling(const std::string& text) {
+  const auto protocol = model::protocol_from_name(text);
+  if (!protocol) return std::nullopt;
+  std::string name(model::protocol_name(*protocol));
+  std::transform(name.begin(), name.end(), name.begin(),
+                 [](unsigned char ch) { return std::tolower(ch); });
+  return name;
 }
 
 using V = ScenarioValues;
@@ -86,14 +96,14 @@ std::string quantized(double value) {
 const std::vector<ScenarioKey>& scenario_keys() {
   static const std::vector<ScenarioKey> keys = {
       {"scenario", G::kPlatform, "base", "base | exa hardware constants",
-       &V::scenario, false, known_hardware},
+       &V::scenario, false, hardware_spelling},
       {"mtbf", G::kPlatform, "25200", "platform MTBF, seconds", &V::mtbf},
       {"phi-ratio", G::kPlatform, "0.25", "overhead fraction phi/R in [0,1]",
        &V::phi_ratio},
       {"nodes", G::kPlatform, "0", "override node count (0 = scenario default)",
        &V::nodes},
       {"protocol", G::kRun, "triple", "protocol to simulate",
-       &V::protocol, false, known_protocol},
+       &V::protocol, false, protocol_spelling},
       {"tbase", G::kRun, "100000", "application work, seconds", &V::tbase},
       {"period", G::kRun, "0", "checkpoint period (0 = model optimum)",
        &V::period, true},
@@ -146,8 +156,8 @@ void ScenarioKey::set(ScenarioValues& values, const std::string& text) const {
 }
 
 std::string ScenarioKey::canonical(const ScenarioValues& values) const {
-  return std::visit([&](auto member) { return spelled(at(values, member)); },
-                    field);
+  return std::visit(
+      [&](auto member) { return spelled(*this, at(values, member)); }, field);
 }
 
 ScenarioValues::ScenarioValues() {

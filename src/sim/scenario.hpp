@@ -79,11 +79,14 @@ struct ScenarioKey {
   const char* help;
   ScenarioField field;
   bool sentinel = false;  ///< a real field under the sentinel rule
-  bool (*accepts)(const std::string&) = nullptr;  ///< text spellings
+  /// Text keys: the one spelling of a valid value (nullopt: invalid), so
+  /// `protocol=Triple` and `protocol=triple` are one serve cache entry.
+  std::optional<std::string> (*spelling)(const std::string&) = nullptr;
 
   /// Applies the key's rule; throws ScenarioValueError.
   void set(ScenarioValues& values, const std::string& text) const;
-  /// The serve cache key's spelling: text, quantized() real, decimal count.
+  /// The serve cache key's spelling: spelling() of a text, quantized()
+  /// real, decimal count.
   std::string canonical(const ScenarioValues& values) const;
 };
 

@@ -74,6 +74,16 @@ std::vector<double> parse_double_list(const util::CliParser& cli,
   return values;
 }
 
+/// The protocol `text` names; an unknown name is an invalid value of
+/// option `name`.
+model::Protocol protocol_value(const util::CliParser& cli,
+                               const std::string& name,
+                               const std::string& text) {
+  const auto protocol = model::protocol_from_name(text);
+  if (!protocol) cli.exit_invalid_value(name);
+  return *protocol;
+}
+
 // ---------------------------------------------------------------- plan
 
 int cmd_plan(int argc, const char* const* argv) {
@@ -143,8 +153,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   if (const auto engine = cli.get("engine"); engine == "scalar") {
     options.engine = sim::SimEngine::kScalar;
   } else if (engine != "batched") {
-    throw std::invalid_argument("option --engine: invalid value '" + engine +
-                                "' (expected batched or scalar)");
+    cli.exit_invalid_value("engine");
   }
   const double shape = scenario.weibull_shape;
   options.weibull = sim::weibull_arrivals(shape, config.params);
@@ -241,7 +250,7 @@ int cmd_sweep(int argc, const char* const* argv) {
                           model::kPaperProtocols.end());
   } else {
     for (const auto& item : split_list(protocols)) {
-      spec.protocols.push_back(model::parse_protocol_name(item));
+      spec.protocols.push_back(protocol_value(cli, "protocols", item));
     }
   }
   spec.mtbfs = parse_double_list(cli, "mtbfs");
@@ -497,7 +506,7 @@ int cmd_spares(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   const auto base = sim::scenario_from(cli).platform();
-  const auto protocol = dckpt::model::parse_protocol_name(cli.get("protocol"));
+  const auto protocol = protocol_value(cli, "protocol", cli.get("protocol"));
   model::SparePoolSpec spec;
   spec.repair_time = cli.get_double("repair");
   spec.detection = cli.get_double("detection");
@@ -609,9 +618,7 @@ int cmd_chaos(int argc, const char* const* argv) {
   } else if (topology == "triples") {
     config.runtime.topology = ckpt::Topology::Triples;
   } else {
-    std::fprintf(stderr, "dckpt chaos: option --topology: invalid value "
-                 "'%s'\n", topology.c_str());
-    std::exit(2);
+    cli.exit_invalid_value("topology");
   }
   config.runtime.nodes = cli.get_count("nodes");
   config.runtime.cells_per_node = cli.get_count("cells");
@@ -626,6 +633,10 @@ int cmd_chaos(int argc, const char* const* argv) {
   config.runtime.dcp_stack_size = cli.get_count("dcp-stack");
   config.runtime.dcp_block_size = cli.get_count("dcp-block");
   config.kernel = cli.get("kernel");
+  if (config.kernel != "heat" && config.kernel != "wave" &&
+      config.kernel != "counter") {
+    cli.exit_invalid_value("kernel");
+  }
   config.random_runs = cli.get_count("runs");
   config.campaign_seed = cli.get_count("seed");
   config.max_failures = cli.get_count("max-failures");

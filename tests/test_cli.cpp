@@ -353,6 +353,35 @@ TEST(DckptServeOptions, WriteTimeoutBeyondIntExits2) {
                        "write-timeout", "2147483648");
 }
 
+// Choice and list flags outside the scenario table follow the same rule:
+// these used to print the error from an exception and exit 1.
+
+TEST(DckptChoiceOptions, SimulateUnknownEngineExits2) {
+  expect_invalid_value({"simulate", "--engine", "bogus"}, "engine", "bogus");
+}
+
+TEST(DckptChoiceOptions, SweepUnknownProtocolExits2) {
+  expect_invalid_value({"sweep", "--protocols", "quadruple"}, "protocols",
+                       "quadruple");
+}
+
+TEST(DckptChoiceOptions, SweepListWithOneUnknownProtocolExits2) {
+  expect_invalid_value({"sweep", "--protocols", "triple,bogus"}, "protocols",
+                       "triple,bogus");
+}
+
+TEST(DckptChoiceOptions, SparesUnknownProtocolExits2) {
+  expect_invalid_value({"spares", "--protocol", "bogus"}, "protocol", "bogus");
+}
+
+TEST(DckptChoiceOptions, ChaosUnknownKernelExits2) {
+  expect_invalid_value({"chaos", "--kernel", "bogus"}, "kernel", "bogus");
+}
+
+TEST(DckptChoiceOptions, ChaosUnknownTopologyExits2) {
+  expect_invalid_value({"chaos", "--topology", "rings"}, "topology", "rings");
+}
+
 // ---------------------------------------------------- sweep node count
 
 /// One small Weibull sweep point on the exa platform (10^6 nodes by

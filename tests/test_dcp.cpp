@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "ckpt/buddy_store.hpp"
@@ -16,6 +20,7 @@
 #include "model/dcp.hpp"
 #include "model/scenario.hpp"
 #include "model/waste.hpp"
+#include "proptest.hpp"
 
 namespace {
 
@@ -57,6 +62,157 @@ TEST(BlockHashesTest, OnlyTheTouchedBlockChangesItsHash) {
       EXPECT_EQ(before[i], after[i]) << "block " << i;
     }
   }
+}
+
+/// A random image layout, block size and content (plus a second content
+/// for diffing) for the span-walking properties below.
+struct SpanCase {
+  std::uint64_t size = 1;
+  std::uint64_t page = 4096;
+  std::uint64_t block = 1;
+  std::uint64_t fill_seed = 0;
+  std::uint64_t writes = 0;
+};
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  std::uint64_t state = seed * 0x9e3779b97f4a7c15ULL + 1;
+  for (auto& b : out) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<std::byte>(state >> 56);
+  }
+  return out;
+}
+
+SpanCase span_case(proptest::Gen& gen) {
+  SpanCase c;
+  c.page = gen.element(std::vector<std::uint64_t>{512, 4096});
+  do {
+    c.size = gen.integer(1, 40000);
+  } while (c.size % c.page == 0);  // the tail page is always partial
+  c.block = gen.element(std::vector<std::uint64_t>{
+      1, 96, 4095, 4096, 4097, 16384, c.size + 1});
+  c.fill_seed = gen.integer(0, 1u << 20);
+  c.writes = gen.integer(0, 6);
+  return c;
+}
+
+std::string describe(const SpanCase& c) {
+  std::ostringstream out;
+  out << "size=" << c.size << " page=" << c.page << " block=" << c.block
+      << " fill_seed=" << c.fill_seed << " writes=" << c.writes;
+  return out.str();
+}
+
+TEST(BlockHashesTest, PropertyEqualsTheHashOfEachFlatSlice) {
+  proptest::ForallConfig config;
+  config.seed = 0xb10c;
+  config.iterations = 120;
+  proptest::forall<SpanCase>(
+      config, span_case,
+      [](const SpanCase& c) -> std::optional<std::string> {
+        PageStore memory(c.size, c.page);
+        memory.write(0, random_bytes(c.size, c.fill_seed));
+        const auto image = memory.snapshot(0);
+        const auto flat = image.to_bytes();
+        const auto hashes = block_hashes(image, c.block);
+        if (hashes.size() != (c.size + c.block - 1) / c.block) {
+          return "wrong block count";
+        }
+        for (std::size_t b = 0; b < hashes.size(); ++b) {
+          const std::size_t offset = b * c.block;
+          const std::size_t len =
+              std::min<std::size_t>(c.block, c.size - offset);
+          if (hashes[b] != xxh64({flat.data() + offset, len})) {
+            return "block " + std::to_string(b) + " hash differs";
+          }
+        }
+        return std::nullopt;
+      },
+      nullptr, describe);
+}
+
+TEST(BlockDeltaTest, PropertyShipsExactlyTheChangedSlicesAndReplays) {
+  proptest::ForallConfig config;
+  config.seed = 0xde17a;
+  config.iterations = 80;
+  proptest::forall<SpanCase>(
+      config, span_case,
+      [](const SpanCase& c) -> std::optional<std::string> {
+        PageStore memory(c.size, c.page);
+        memory.write(0, random_bytes(c.size, c.fill_seed));
+        const auto base = memory.snapshot(0);
+        const auto before = base.to_bytes();
+        for (std::uint64_t w = 0; w < c.writes; ++w) {
+          const std::uint64_t offset =
+              (c.fill_seed * (w + 7) * 2654435761ULL) % c.size;
+          const auto patch = random_bytes(
+              std::min<std::size_t>(300, c.size - offset), c.fill_seed + w + 1);
+          memory.write(offset, patch);
+        }
+        const auto current = memory.snapshot(0);
+        const auto after = current.to_bytes();
+        const auto delta = make_block_delta(base, current, c.block);
+        std::size_t next = 0;
+        for (std::size_t b = 0; b * c.block < c.size; ++b) {
+          const std::size_t offset = b * c.block;
+          const std::size_t len =
+              std::min<std::size_t>(c.block, c.size - offset);
+          const bool changed = !std::equal(
+              before.begin() + static_cast<std::ptrdiff_t>(offset),
+              before.begin() + static_cast<std::ptrdiff_t>(offset + len),
+              after.begin() + static_cast<std::ptrdiff_t>(offset));
+          if (!changed) continue;
+          if (next == delta.blocks().size() ||
+              delta.blocks()[next].index != b) {
+            return "changed block " + std::to_string(b) + " not shipped";
+          }
+          const auto& payload = delta.blocks()[next++].payload;
+          if (!std::equal(payload.begin(), payload.end(),
+                          after.begin() + static_cast<std::ptrdiff_t>(offset),
+                          after.begin() +
+                              static_cast<std::ptrdiff_t>(offset + len))) {
+            return "block " + std::to_string(b) + " payload differs";
+          }
+        }
+        if (next != delta.blocks().size()) return "unchanged block shipped";
+        const auto replayed = apply_block_delta(base, delta);
+        if (replayed.to_bytes() != after ||
+            !replayed.verify(delta.result_hash())) {
+          return "replay does not reproduce the image";
+        }
+        return std::nullopt;
+      },
+      nullptr, describe);
+}
+
+TEST(BlockDeltaTest, GivenCurrentHashesMatchTheComputedOnes) {
+  auto memory = make_memory();
+  const auto base = memory.snapshot(0);
+  const auto base_hashes = block_hashes(base, 96);
+  memory.write(100, fill(100, 4));  // straddles the 96-byte blocks
+  const auto current = memory.snapshot(0);
+  const auto current_hashes = block_hashes(current, 96);
+  const auto given =
+      make_block_delta(base_hashes, current_hashes, base.version(),
+                       base.content_hash(), current, 96);
+  const auto computed = make_block_delta(base_hashes, base.version(),
+                                         base.content_hash(), current, 96);
+  ASSERT_EQ(given.dirty_blocks(), computed.dirty_blocks());
+  EXPECT_EQ(given.dirty_blocks(), 2u);  // bytes 100..199: blocks 1 and 2
+  EXPECT_TRUE(given.verify_self());
+  EXPECT_EQ(given.result_hash(), computed.result_hash());
+  // A current array of the wrong length is refused.
+  EXPECT_THROW(make_block_delta(base_hashes, block_hashes(current, kPage),
+                                base.version(), base.content_hash(), current,
+                                96),
+               std::invalid_argument);
+}
+
+TEST(BlockHashesTest, PageSizedBlocksAreTheCachedPageHashes) {
+  auto memory = make_memory();
+  const auto image = memory.snapshot(0);
+  EXPECT_EQ(block_hashes(image, kPage), image.page_hashes());
 }
 
 TEST(BlockDeltaTest, DetectsDirtyBlocksByContentNotByWrite) {

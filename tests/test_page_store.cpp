@@ -2,21 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ckpt/buddy_store.hpp"
 #include "proptest.hpp"
 
 namespace {
 
+using dckpt::ckpt::BuddyStore;
 using dckpt::ckpt::fnv1a;
 using dckpt::ckpt::PageStore;
 using dckpt::ckpt::Snapshot;
+using dckpt::ckpt::xxh64;
 
 std::vector<std::byte> bytes_of(const std::string& text) {
   std::vector<std::byte> out(text.size());
@@ -30,6 +36,61 @@ TEST(Fnv1aTest, KnownProperties) {
   EXPECT_NE(fnv1a(a), fnv1a(b));
   EXPECT_EQ(fnv1a(a), fnv1a(a));
   EXPECT_EQ(fnv1a({}), 0xcbf29ce484222325ULL);  // seed passes through
+}
+
+/// n bytes of a fixed pattern: byte i is (131 i + 17) mod 256.
+std::vector<std::byte> pattern(std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::byte>((i * 131 + 17) & 0xff);
+  }
+  return out;
+}
+
+TEST(Xxh64Test, MatchesTheReferenceVectors) {
+  // Published XXH64 values (seed 0), so this is the reference algorithm.
+  EXPECT_EQ(xxh64({}), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxh64(bytes_of("a")), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(xxh64(bytes_of("abc")), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(xxh64(bytes_of("Nobody inspects the spammish repetition")),
+            0xfbcea83c8a378bf1ULL);
+}
+
+TEST(Xxh64Test, KnownAnswersAcrossEveryTailLength) {
+  // Below one stripe, exactly one, one past, the 4 KiB page, and tails
+  // that run the 8-byte, 4-byte and single-byte steps (45 = 32 + 8 + 4 + 1,
+  // 4111 = 4096 + 8 + 4 + 3). Values from the reference implementation.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> answers = {
+      {0, 0xef46db3751d8e999ULL},    {1, 0xad10cd9780ac4ff7ULL},
+      {7, 0xcfc90033aa9dac4fULL},    {8, 0x90fda2f089fa86deULL},
+      {31, 0x44cc9efe5d2d0233ULL},   {32, 0x0e1aab1d173cf196ULL},
+      {33, 0x5c820b4b4fe28fdcULL},   {45, 0xa05508cb6737d409ULL},
+      {4096, 0xa78a1899df4ccfdcULL}, {4111, 0xdcf7057fbc9c461eULL},
+  };
+  for (const auto& [length, expected] : answers) {
+    EXPECT_EQ(xxh64(pattern(length)), expected) << "length " << length;
+  }
+  EXPECT_EQ(xxh64(pattern(33), 0x9e3779b97f4a7c15ULL), 0x3b00a6ef0416e4a4ULL);
+}
+
+TEST(Xxh64Test, AnySingleBitFlipChangesTheHash) {
+  auto data = pattern(70);
+  const std::uint64_t clean = xxh64(data);
+  for (std::size_t bit = 0; bit < data.size() * 8; ++bit) {
+    data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    EXPECT_NE(xxh64(data), clean) << "bit " << bit;
+    data[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+  }
+}
+
+TEST(Xxh64Test, UnalignedInputHashesLikeAligned) {
+  const auto data = pattern(200);
+  std::vector<std::byte> shifted(data.size() + 7);
+  for (std::size_t shift = 1; shift < 8; ++shift) {
+    std::copy(data.begin(), data.end(), shifted.begin() + shift);
+    EXPECT_EQ(xxh64({shifted.data() + shift, data.size()}), xxh64(data))
+        << "shift " << shift;
+  }
 }
 
 TEST(PageStoreTest, ZeroInitialized) {
@@ -222,8 +283,9 @@ TEST(SnapshotTest, TornCopyFailsVerifyEvenOnAllZeroTail) {
 //
 // Snapshot::verify backs the verified-checkpoint machinery: a hash that can
 // be fooled turns a detected SDC into a silent one. These cases target the
-// classic weaknesses of additive/XOR checksums to document that FNV-1a (an
-// order-sensitive multiply-xor fold) does not share them.
+// classic weaknesses of additive/XOR checksums to document that the image
+// hash (xxh64 per page, then xxh64 over the ordered page hashes) does not
+// share them.
 
 TEST(SnapshotVerifyTest, CancellingByteSwapIsStillDetected) {
   // Swapping the values of two bytes preserves both the byte-sum and the
@@ -323,6 +385,77 @@ TEST(SnapshotVerifyTest, PropertyAnySingleByteFlipIsDetected) {
             << " fill_seed=" << f.fill_seed;
         return out.str();
       });
+}
+
+// ------------------------------------------------- cached image digest
+//
+// A snapshot hashes each page once and derives everything else from those
+// page hashes; these cases pin what the cache holds and when it must be
+// recomputed rather than inherited.
+
+TEST(SnapshotDigestTest, PageHashesCoverEachPagesMeaningfulBytes) {
+  PageStore store(1000, 256);  // last page: 232 meaningful of 256
+  store.write(0, pattern(1000));
+  const Snapshot snap = store.snapshot(1);
+  const auto flat = snap.to_bytes();
+  ASSERT_EQ(snap.page_hashes().size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::size_t len = std::min<std::size_t>(256, 1000 - i * 256);
+    EXPECT_EQ(snap.page_hashes()[i], xxh64({flat.data() + i * 256, len}))
+        << "page " << i;
+  }
+  EXPECT_EQ(snap.content_hash(),
+            xxh64(std::as_bytes(std::span(snap.page_hashes())), 1000));
+}
+
+TEST(SnapshotDigestTest, RestoreWriteSnapshotYieldsANewHash) {
+  PageStore store(1024, 256);
+  store.write(0, pattern(1024));
+  const Snapshot committed = store.snapshot(1);
+  const std::uint64_t hash = committed.content_hash();
+  store.write(0, bytes_of("drift"));
+  store.restore(committed);
+  EXPECT_EQ(store.snapshot(1).content_hash(), hash);
+  store.write(600, bytes_of("new"));
+  const Snapshot after = store.snapshot(1);
+  EXPECT_NE(after.content_hash(), hash);
+  EXPECT_EQ(after.page_hashes()[0], committed.page_hashes()[0]);
+  EXPECT_NE(after.page_hashes()[2], committed.page_hashes()[2]);
+  EXPECT_TRUE(committed.verify(hash));  // the restored image is untouched
+}
+
+TEST(SnapshotDigestTest, DamagedCopiesRecomputeRatherThanInherit) {
+  PageStore store(1024, 256);
+  store.write(0, pattern(1024));
+  const Snapshot snap = store.snapshot(1);
+  const std::uint64_t hash = snap.content_hash();  // cache filled first
+  for (const Snapshot& damaged : {corrupt_copy(snap), torn_copy(snap)}) {
+    const Snapshot fresh(damaged.pages(), damaged.size_bytes(),
+                         damaged.version(), damaged.owner());
+    EXPECT_NE(damaged.content_hash(), hash);
+    EXPECT_EQ(damaged.content_hash(), fresh.content_hash());
+    EXPECT_NE(damaged.page_hashes().front(), snap.page_hashes().front());
+  }
+}
+
+TEST(SnapshotDigestTest, StagedCopySharesAndVerifiesTheSnapshotTimeDigest) {
+  PageStore store(1024, 256);
+  store.write(0, pattern(1024));
+  const Snapshot snap = store.snapshot(3);
+  const std::uint64_t digest = snap.content_hash();
+  BuddyStore holder(0);
+  holder.stage(snap);
+  store.write(0, bytes_of("later"));  // COW: the staged pages stay intact
+  const auto staged = holder.staged_for(3);
+  ASSERT_TRUE(staged.has_value());
+  EXPECT_TRUE(staged->verify(digest));
+  // One array for the image and its copies: no per-copy hash arrays.
+  EXPECT_EQ(staged->page_hashes().data(), snap.page_hashes().data());
+  // A copy taken before the first hash computes the same digest itself.
+  const Snapshot early = store.snapshot(3);
+  const Snapshot early_copy = early;
+  EXPECT_EQ(early_copy.content_hash(), early.content_hash());
+  EXPECT_NE(early.content_hash(), digest);
 }
 
 }  // namespace

@@ -206,6 +206,24 @@ TEST(EvalService, CountsKeyTheCacheExactly) {
   EXPECT_TRUE(respond(service, line + "1").at("cached").as_bool());
 }
 
+TEST(EvalService, ProtocolSpellingsShareOneCacheEntry) {
+  // Protocol names are case-insensitive, so the cache key spells them one
+  // way: these three requests are one computation.
+  sim::EvalService service;
+  const auto first = respond(service, "EVAL kind=period protocol=Triple");
+  const auto lower = respond(service, "EVAL kind=period protocol=triple");
+  const auto upper = respond(service, "EVAL kind=period protocol=TRIPLE");
+  EXPECT_FALSE(first.at("cached").as_bool());
+  EXPECT_TRUE(lower.at("cached").as_bool());
+  EXPECT_TRUE(upper.at("cached").as_bool());
+  EXPECT_EQ(lower.at("protocol").as_string(), "Triple");
+  EXPECT_EQ(lower.at("period").as_number(), first.at("period").as_number());
+  // A different protocol is still a different entry.
+  EXPECT_FALSE(respond(service, "EVAL kind=period protocol=doublenbl")
+                   .at("cached")
+                   .as_bool());
+}
+
 TEST(EvalService, LimitsSimulatedWork) {
   sim::EvalService service;
   // Each would keep the service busy for hours: a huge tbase, and a

@@ -42,7 +42,11 @@ TEST(TraceInjectorTest, Validation) {
 
 class TraceFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/dckpt_trace_test.txt";
+  // One file per test: ctest -j runs these tests as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "/dckpt_trace_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".txt";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
